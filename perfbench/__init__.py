@@ -1,0 +1,5 @@
+"""softaug benchmark: workloads, independent output checks and a layer tracer.
+
+Run it with `python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`; see perfbench/README.md.
+"""
