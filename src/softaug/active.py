@@ -10,6 +10,11 @@ gap between the current model's prediction f(x_n) and any labeled label,
 and R the total distance from n to every pool point (labeled or not).
 Large d_x, d_y favour diversity; small R favours representative points.
 The model f is refitted after every acquisition.
+
+The pool is fixed for a run, so the pool x pool distance matrix is built
+once and every step reads from it: the silhouette of every candidate k,
+R (constant for the run) and d_x, which only shrinks as points are
+labeled and so is updated from the newest labeled point alone.
 """
 from __future__ import annotations
 
@@ -99,6 +104,20 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
+def _pool_dists(points: np.ndarray) -> np.ndarray:
+    """Euclidean (m, m) distances, equal to `np.sqrt(_sq_dists(p, p))`.
+
+    Built in blocks of at most m // d rows, so no block's (rows, m, d)
+    temporary is larger than the (m, m) result it fills.
+    """
+    m, d = points.shape
+    rows = max(1, m // max(d, 1))
+    dists = np.empty((m, m))
+    for start in range(0, m, rows):
+        dists[start:start + rows] = np.sqrt(_sq_dists(points[start:start + rows], points))
+    return dists
+
+
 def _kmeans_pp(points: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     m = points.shape[0]
     first = int(rng.integers(0, m, 1)[0])
@@ -120,33 +139,42 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
 def silhouette_mean(points: np.ndarray, assignments: np.ndarray) -> float:
     """Mean silhouette with the usual conventions (singletons score 0)."""
     points = np.asarray(points, dtype=float)
-    assign = np.asarray(assignments, dtype=int)
-    m = points.shape[0]
-    labels = np.unique(assign)
-    if len(labels) < 2:
+    return _silhouette(_pool_dists(points), np.asarray(assignments, dtype=int))
+
+
+def _silhouette(dists: np.ndarray, assign: np.ndarray) -> float:
+    """Mean silhouette from the (m, m) distances, one pass per cluster."""
+    _, own, sizes = np.unique(assign, return_inverse=True, return_counts=True)
+    if len(sizes) < 2:
         raise ContractError("silhouette needs at least two clusters")
-    dists = np.sqrt(_sq_dists(points, points))
-    scores = np.zeros(m)
-    for i in range(m):
-        own = assign == assign[i]
-        n_own = int(own.sum())
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i, own].sum() / (n_own - 1)
-        b = min(dists[i, assign == c].mean() for c in labels if c != assign[i])
-        scores[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
+    rows = np.arange(len(assign))
+    # (m, clusters): summed distance from every point to each cluster
+    sums = np.stack([dists[:, own == c].sum(axis=1) for c in range(len(sizes))], axis=1)
+    n_own = sizes[own]
+    a = sums[rows, own] / np.maximum(n_own - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scored = (n_own > 1) & (top > 0.0)       # singletons and a = b = 0 score 0
+    scores = np.zeros(len(assign))
+    scores[scored] = (b[scored] - a[scored]) / top[scored]
     return float(scores.mean())
 
 
 def choose_k(points: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
     """Argmax of the mean silhouette over [k_lo, k_hi]; ties pick smaller k."""
+    points = np.asarray(points, dtype=float)
+    return _choose_k(points, _pool_dists(points), k_lo, k_hi, seed)
+
+
+def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
     if k_lo < 2 or k_hi < k_lo:
         raise ContractError(f"need 2 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     best_k, best_s = None, -np.inf
     for k in range(k_lo, k_hi + 1):
         result = kmeans(points, k, derive_seed(seed, f"kmeans:{k}"))
-        s = silhouette_mean(points, result.assignments)
+        s = _silhouette(dists, result.assignments)
         if s > best_s:
             best_k, best_s = k, s
     return int(best_k)
@@ -177,13 +205,16 @@ def igs_score(state: SelectionState, pool: np.ndarray) -> np.ndarray:
         raise ContractError("scoring needs at least one labeled point")
     if state.model is None:
         raise ContractError("scoring needs a fitted model for d_y")
-    labeled_idx = np.asarray(state.labeled, dtype=int)
-    labeled_x = pool[labeled_idx]
-    labeled_y = np.array([state.labels[i] for i in state.labeled])
+    dists = _pool_dists(pool)
+    r = dists.sum(axis=1)                              # over the whole pool
+    d_x = dists[:, state.labeled].min(axis=1)
+    return _igs_scores(state, pool, r, d_x)
 
-    dists_all = np.sqrt(_sq_dists(pool, pool))
-    r = dists_all.sum(axis=1)                          # over the whole pool
-    d_x = np.sqrt(_sq_dists(pool, labeled_x)).min(axis=1)
+
+def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
+                d_x: np.ndarray) -> np.ndarray:
+    labeled_idx = np.asarray(state.labeled, dtype=int)
+    labeled_y = np.array([state.labels[i] for i in state.labeled])
     preds = np.asarray(state.model.predict(pool), dtype=float)
     d_y = np.abs(preds[:, None] - labeled_y[None, :]).min(axis=1)
 
@@ -222,11 +253,16 @@ def run_active_selection(
     if budget.total > m:
         raise BudgetError(f"budget {budget.total} exceeds pool size {m}")
     spec = regressor_spec or RegressorSpec(kind="kernel-ridge")
+    dists = _pool_dists(points)
     if budget.initial is None:
-        k_hi = min(10, m // 2)
-        if k_hi < 2:
+        if m // 2 < 2:
             raise BudgetError(f"pool of {m} is too small to choose an initial count")
-        m0 = choose_k(points, 2, k_hi, derive_seed(seed, "choose-k"))
+        distinct = np.unique(points, axis=0).shape[0]
+        if distinct < 2:
+            raise DegeneracyError(
+                f"pool has {distinct} distinct row(s); choosing an initial count needs 2")
+        k_hi = min(10, m // 2, distinct)
+        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"))
     else:
         m0 = budget.initial
     m0 = min(m0, budget.total)
@@ -237,18 +273,21 @@ def run_active_selection(
     for i in state.labeled:
         state.labels[i] = float(oracle(i))
 
+    r = dists.sum(axis=1)
+    d_x = dists[:, state.labeled].min(axis=1)
     records: list[AcquisitionRecord] = []
     step = len(state.labeled)
     while len(state.labeled) < budget.total:
         state.model = _fit_selection_model(spec, points, state)
-        scores = igs_score(state, points)
+        scores = _igs_scores(state, points, r, d_x)
         unlabeled = np.setdiff1d(np.arange(m), np.asarray(state.labeled, dtype=int))
         best = int(unlabeled[np.argmax(scores[unlabeled])])   # ties: lowest index
-        d_x, d_y, r = _score_components(state, points, best)
         step += 1
-        records.append(AcquisitionRecord(step, best, d_x, d_y, r, float(scores[best])))
+        records.append(AcquisitionRecord(step, best, *_score_components(state, points, best),
+                                         float(scores[best])))
         state.labeled.append(best)
         state.labels[best] = float(oracle(best))
+        d_x = np.minimum(d_x, dists[:, best])
 
     idx = np.asarray(state.labeled, dtype=int)
     selected = TabularDataset(points[idx],

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from softaug import LabelBudget, choose_k, kmeans, run_active_selection
-from softaug.active import (ClusterResult, SelectionState, igs_score,
-                            init_select, silhouette_mean)
+from softaug import active
+from softaug.active import (ClusterResult, SelectionState, _pool_dists,
+                            _sq_dists, igs_score, init_select, silhouette_mean)
 from softaug.data import TabularDataset
 from softaug.errors import BudgetError, ContractError, DegeneracyError
 from softaug.regress import KernelRidgeRegressor, RegressorSpec
@@ -129,8 +130,16 @@ def test_silhouette_matches_naive_double_loop():
     points = rng.uniform(size=(12, 2))
     assign = rng.integers(0, 3, size=12)
     assign[:3] = [0, 1, 2]          # every cluster inhabited
-    got = silhouette_mean(points, assign)
-    assert abs(got - _naive_silhouette(points, assign)) < 1e-12
+    singleton = assign.copy()
+    singleton[singleton == 2] = 1
+    singleton[5] = 2                # cluster 2 holds one point
+    # rows 0-1 sit on their own cluster-mate and on cluster 1: a = b = 0
+    duplicates = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]])
+    cases = [(points, assign), (points, singleton),
+             (duplicates, np.array([0, 0, 1, 1, 2]))]
+    for pts, labels in cases:
+        got = silhouette_mean(pts, labels)
+        assert abs(got - _naive_silhouette(pts, labels)) < 1e-12
 
 
 def test_silhouette_positive_for_perfect_pairs():
@@ -155,6 +164,12 @@ def test_choose_k_tie_prefers_smaller_k():
     # mean silhouette is exactly 0.0 for both k=2 and k=3
     simplex = np.eye(3)
     assert choose_k(simplex, 2, 3, seed=1) == 2
+
+
+def test_pool_dists_blocks_equal_one_shot_arithmetic():
+    # 300 x 10 is built in ten 30-row blocks
+    points = np.random.default_rng(41).uniform(size=(300, 10))
+    assert np.array_equal(_pool_dists(points), np.sqrt(_sq_dists(points, points)))
 
 
 def test_choose_k_rejects_bad_range():
@@ -356,6 +371,40 @@ def test_auto_initial_count_uses_silhouette():
         pool, lambda i: float(pool.labels[i]), LabelBudget(None, 6), seed=2)
     assert selected.features.shape == (6, 2)
     assert len(records) == 4        # two blobs → two initial picks
+
+
+def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
+    # the run caches R and updates d_x from the newest point; the public
+    # scorer recomputes both from scratch on a pool spanning several blocks
+    rng = np.random.default_rng(43)
+    pool = _pool(rng.uniform(size=(300, 10)), rng.uniform(size=300))
+    seen = []
+    inner = active._igs_scores
+
+    def recording(state, points, r, d_x):
+        scores = inner(state, points, r, d_x)
+        seen.append((list(state.labeled), dict(state.labels), state.model, scores))
+        return scores
+
+    monkeypatch.setattr(active, "_igs_scores", recording)
+    run_active_selection(pool, lambda i: float(pool.labels[i]), LabelBudget(3, 9), seed=7)
+    monkeypatch.undo()
+    assert len(seen) == 6
+    for labeled, labels, model, scores in seen:
+        state = SelectionState(labeled=labeled, labels=labels, model=model)
+        assert np.array_equal(scores, igs_score(state, pool.features))
+
+
+def test_auto_initial_count_capped_at_distinct_rows():
+    base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+    pool = _pool(np.repeat(base, 20, axis=0), np.repeat([0.0, 1.0, 2.0], 20))
+    selected, _ = run_active_selection(
+        pool, lambda i: float(pool.labels[i]), LabelBudget(None, 10), seed=0)
+    assert selected.features.shape == (10, 2)
+    assert {tuple(row) for row in selected.features} == {tuple(row) for row in base}
+    same = _pool(np.zeros((60, 2)), np.zeros(60))
+    with pytest.raises(DegeneracyError, match="1 distinct"):
+        run_active_selection(same, lambda i: 0.0, LabelBudget(None, 10), seed=0)
 
 
 def test_budget_overdraft_and_tiny_pool_errors():
