@@ -10,14 +10,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import SplitSpec, apply_normalizer, fit_normalizer, invert_normalizer, save_csv, split
-from .errors import ConfigError, DataError, DivergenceError, SoftaugError
+from .data import NormalizationSpec, apply_normalizer, invert_normalizer, save_csv
+from .errors import ConfigError, ContractError, DataError, DivergenceError, SoftaugError
 from .harness import (ACQ_HEADER, AMOUNT_HEADER, ABLATE_HEADER, HYPER_HEADER,
                       QUALITY_COMMENT, QUALITY_HEADER, TIME_HEADER, TRACE_HEADER,
-                      ExperimentConfig, RunManifest, _load_dataset, _select_train,
-                      acquisition_rows, config_to_ini, parse_config, quality_rows,
-                      run_ablation, run_pipeline, sweep_amount, sweep_hyper,
-                      time_variants, trace_rows, write_csv, _write_manifest)
+                      ExperimentConfig, RunManifest, acquisition_rows, config_to_ini,
+                      parse_config, prepare, quality_rows, run_ablation, run_pipeline,
+                      sweep_amount, sweep_hyper, time_variants, trace_rows, write_csv,
+                      _write_manifest)
 from .quality import select_best_batch
 from .rgan import generate, load_checkpoint, save_checkpoint, train
 from .rng import derive_seed
@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="INI config file (defaults used if omitted)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="output directory (overrides [run] out_dir)")
-        p.add_argument("--workers", type=int, help="parallel arms for multi-run commands")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="model checkpoint path")
 
@@ -61,8 +60,6 @@ def _effective_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, workers=args.workers)
     return cfg
 
 
@@ -79,18 +76,13 @@ def _print_rows(header, rows) -> None:
 def _cmd_select(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    full = _load_dataset(cfg)
-    pool, _ = split(full, SplitSpec(full.n_rows - cfg.test_count, cfg.test_count,
-                                    derive_seed(cfg.seed, "split")))
-    train_raw, acquisitions = _select_train(cfg, pool)
-    manifest.dataset = {"rows": full.n_rows, "features": full.n_features}
-    manifest.selection = {"method": "active" if cfg.active_enabled else "random",
-                          "selected_rows": train_raw.n_rows}
-    print(f"selected {train_raw.n_rows} of {pool.n_rows} pool rows")
+    prep = prepare(cfg, manifest)
+    print(f"selected {prep.train_raw.n_rows} of {prep.pool.n_rows} pool rows")
     if out:
-        save_csv(train_raw, out / "selected_train.csv")
-        if acquisitions:
-            write_csv(out / "acquisition.csv", ACQ_HEADER, acquisition_rows(acquisitions))
+        save_csv(prep.train_raw, out / "selected_train.csv")
+        if prep.acquisitions:
+            write_csv(out / "acquisition.csv", ACQ_HEADER,
+                      acquisition_rows(prep.acquisitions))
         (out / "config.echo.ini").write_text(manifest.config_ini)
         _write_manifest(manifest, out)
     return 0
@@ -99,20 +91,15 @@ def _cmd_select(cfg: ExperimentConfig) -> int:
 def _cmd_train(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    full = _load_dataset(cfg)
-    pool, _ = split(full, SplitSpec(full.n_rows - cfg.test_count, cfg.test_count,
-                                    derive_seed(cfg.seed, "split")))
-    train_raw, _ = _select_train(cfg, pool)
-    normalizer = fit_normalizer(train_raw)
-    train_n = apply_normalizer(train_raw, normalizer)
-    model, trace = train(train_n, cfg.gan, derive_seed(cfg.seed, "gan"))
+    prep = prepare(cfg, manifest)
+    model, trace = train(prep.train_set, cfg.gan, derive_seed(cfg.seed, "gan"))
     last_w = trace.wasserstein[-1] if trace.wasserstein else float("nan")
     print(f"trained {cfg.gan.iterations} iterations; last wasserstein estimate {last_w:.6g}")
     manifest.gan = {"iterations": cfg.gan.iterations, "final_wasserstein": last_w}
     if out:
         write_csv(out / "trace.csv", TRACE_HEADER, trace_rows(trace))
         save_checkpoint(model, out / "checkpoint.bin",
-                        extra={"normalizer": normalizer.to_dict(), "seed": cfg.seed,
+                        extra={"normalizer": prep.normalizer.to_dict(), "seed": cfg.seed,
                                "seed_tag": ""})
         (out / "config.echo.ini").write_text(manifest.config_ini)
         _write_manifest(manifest, out)
@@ -124,7 +111,6 @@ def _cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     batch = generate(model, args.count, derive_seed(seed, "gen:0"))
     if "normalizer" in extra:
-        from .data import NormalizationSpec
         batch = invert_normalizer(batch, NormalizationSpec.from_dict(extra["normalizer"]))
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -136,11 +122,15 @@ def _cmd_generate(args) -> int:
 def _cmd_score(cfg: ExperimentConfig, checkpoint: str) -> int:
     out = _out_dir(cfg)
     model, extra = load_checkpoint(checkpoint)
-    full = _load_dataset(cfg)
-    pool, _ = split(full, SplitSpec(full.n_rows - cfg.test_count, cfg.test_count,
-                                    derive_seed(cfg.seed, "split")))
-    train_raw, _ = _select_train(cfg, pool)
-    train_n = apply_normalizer(train_raw, fit_normalizer(train_raw))
+    for key in ("normalizer", "seed"):
+        if key not in extra:
+            raise ContractError(f"checkpoint {checkpoint} records no {key}")
+    if extra["seed"] != cfg.seed:
+        raise ConfigError(f"seed {cfg.seed} differs from seed {extra['seed']} "
+                          f"that trained checkpoint {checkpoint}")
+    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
+    train_n = apply_normalizer(prepare(cfg, manifest).train_raw,
+                               NormalizationSpec.from_dict(extra["normalizer"]))
     batches = [generate(model, cfg.generated_count, derive_seed(cfg.seed, f"gen:{i}"))
                for i in range(cfg.candidate_batches)]
     best, report = select_best_batch(train_n, batches, cfg.kernel_spec(), cfg.ds_folds,

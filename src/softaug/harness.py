@@ -12,7 +12,6 @@ import configparser
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -64,22 +63,21 @@ class ExperimentConfig:
     # run
     seed: int = 0
     out_dir: str = ""
-    workers: int = 1
 
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
             raise ConfigError(f"dataset source must be synthetic or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs dataset.path")
-        for name in ("test_count", "train_count", "candidate_batches", "ds_folds"):
+        for name in ("dataset_n", "test_count", "train_count", "candidate_batches", "ds_folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not self.noise_sd >= 0:        # also rejects NaN
+            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
         if self.generated_count < 0:
             raise ConfigError("generated_count must be >= 0")
         if self.initial_count < 0:
             raise ConfigError("initial_count must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         for m in self.models:
             if m not in ("kernel-ridge", "mlp"):
                 raise ConfigError(f"unknown downstream model {m!r}")
@@ -192,7 +190,6 @@ _SCHEMA = {
     "run": {
         "seed": (_int, "seed"),
         "out_dir": (str.strip, "out_dir"),
-        "workers": (_int, "workers"),
     },
 }
 
@@ -200,7 +197,13 @@ _SCHEMA = {
 def parse_config(path_or_text) -> ExperimentConfig:
     """Read an INI-style config; every key must be known (fail-fast)."""
     parser = configparser.ConfigParser(interpolation=None)
-    text = path_or_text if "\n" in str(path_or_text) else Path(path_or_text).read_text()
+    if "\n" in str(path_or_text):
+        text = path_or_text
+    else:
+        try:
+            text = Path(path_or_text).read_text()
+        except OSError as err:
+            raise ConfigError(f"cannot read config {path_or_text}: {err.strerror}") from None
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -351,26 +354,58 @@ class PipelineResult:
     metrics: dict[tuple[str, str], Metrics]
 
 
-def _load_dataset(cfg: ExperimentConfig) -> TabularDataset:
-    if cfg.source == "csv":
-        return load_csv(cfg.csv_path, cfg.label_column)
-    return synth_make(cfg.dataset_name, cfg.dataset_n, cfg.noise_sd,
-                      derive_seed(cfg.seed, "data"))
+@dataclass(frozen=True)
+class Prepared:
+    """The split, the selected training rows and both sets normalized."""
+    pool: TabularDataset
+    train_raw: TabularDataset
+    acquisitions: list[AcquisitionRecord]
+    normalizer: NormalizationSpec      # fitted on train_raw
+    train_set: TabularDataset          # normalized
+    test_set: TabularDataset           # normalized
 
 
-def _select_train(cfg: ExperimentConfig, pool: TabularDataset):
-    """Training rows from the pool: greedy acquisition or a random subset."""
-    if cfg.train_count > pool.n_rows:
-        raise BudgetError(
-            f"train_count {cfg.train_count} exceeds pool of {pool.n_rows}")
-    if cfg.active_enabled:
-        budget = LabelBudget(initial=cfg.initial_count or None, total=cfg.train_count)
-        spec = RegressorSpec(kind="kernel-ridge", ridge=cfg.ridge)
-        return run_active_selection(pool, lambda i: float(pool.labels[i]), budget,
-                                    derive_seed(cfg.seed, "active"), spec)
-    rng = SeededRng(derive_seed(cfg.seed, "subset"))
-    idx = rng.permutation(pool.n_rows)[:cfg.train_count]
-    return pool.take(idx), []
+def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
+    """Load -> split -> select -> normalize, the prelude of every command.
+
+    Records the data, selection and normalize phases and the dataset and
+    selection blocks in `manifest`; a failure leaves its phase last.
+    """
+    with _PhaseTimer(manifest, "data"):
+        if cfg.source == "csv":
+            full = load_csv(cfg.csv_path, cfg.label_column)
+        else:
+            full = synth_make(cfg.dataset_name, cfg.dataset_n, cfg.noise_sd,
+                              derive_seed(cfg.seed, "data"))
+        manifest.dataset = {"rows": full.n_rows, "features": full.n_features,
+                            "columns": list(full.columns)}
+        pool_count = full.n_rows - cfg.test_count
+        if pool_count < cfg.train_count:
+            raise BudgetError(
+                f"dataset of {full.n_rows} rows leaves a pool of {pool_count} "
+                f"for a train budget of {cfg.train_count}")
+        pool, test = split(full, SplitSpec(pool_count, cfg.test_count,
+                                           derive_seed(cfg.seed, "split")))
+    with _PhaseTimer(manifest, "selection"):
+        if cfg.active_enabled:
+            budget = LabelBudget(initial=cfg.initial_count or None, total=cfg.train_count)
+            spec = RegressorSpec(kind="kernel-ridge", ridge=cfg.ridge)
+            train_raw, acquisitions = run_active_selection(
+                pool, lambda i: float(pool.labels[i]), budget,
+                derive_seed(cfg.seed, "active"), spec)
+        else:
+            rng = SeededRng(derive_seed(cfg.seed, "subset"))
+            train_raw = pool.take(rng.permutation(pool.n_rows)[:cfg.train_count])
+            acquisitions = []
+        manifest.selection = {
+            "method": "active" if cfg.active_enabled else "random",
+            "acquisitions": [asdict(r) for r in acquisitions],
+        }
+    with _PhaseTimer(manifest, "normalize"):
+        normalizer = fit_normalizer(train_raw)
+        return Prepared(pool, train_raw, acquisitions, normalizer,
+                        apply_normalizer(train_raw, normalizer),
+                        apply_normalizer(test, normalizer))
 
 
 def _downstream_spec(cfg: ExperimentConfig, kind: str) -> RegressorSpec:
@@ -400,30 +435,11 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         return _PhaseTimer(manifest, name)
 
     try:
-        with phase("data"):
-            full = _load_dataset(cfg)
-            manifest.dataset = {"rows": full.n_rows, "features": full.n_features,
-                                "columns": list(full.columns)}
-            pool_count = full.n_rows - cfg.test_count
-            if pool_count < cfg.train_count:
-                raise BudgetError(
-                    f"dataset of {full.n_rows} rows leaves a pool of {pool_count} "
-                    f"for a train budget of {cfg.train_count}")
-            pool, test = split(full, SplitSpec(pool_count, cfg.test_count,
-                                               derive_seed(cfg.seed, "split")))
-        with phase("selection"):
-            train_raw, acquisitions = _select_train(cfg, pool)
-            manifest.selection = {
-                "method": "active" if cfg.active_enabled else "random",
-                "acquisitions": [asdict(r) for r in acquisitions],
-            }
-            if out and acquisitions:
-                write_csv(out / "acquisition.csv", ACQ_HEADER,
-                          acquisition_rows(acquisitions))
-        with phase("normalize"):
-            normalizer = fit_normalizer(train_raw)
-            train_n = apply_normalizer(train_raw, normalizer)
-            test_n = apply_normalizer(test, normalizer)
+        prep = prepare(cfg, manifest)
+        train_n, test_n, normalizer = prep.train_set, prep.test_set, prep.normalizer
+        if out and prep.acquisitions:
+            write_csv(out / "acquisition.csv", ACQ_HEADER,
+                      acquisition_rows(prep.acquisitions))
         with phase("gan"):
             model, trace = train(train_n, cfg.gan, derive_seed(cfg.seed, gan_tag))
             manifest.gan = {
@@ -528,23 +544,14 @@ def _variant_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return replace(cfg, gan=gan, **top_over)
 
 
-def _run_arms(jobs, workers: int):
-    """Run (label, callable) jobs, isolating failures per arm."""
+def _run_arms(jobs):
+    """Run (label, callable) jobs in order; a failed arm never aborts the others."""
     results = {}
-
-    def run_one(label, fn):
+    for label, fn in jobs:
         try:
-            return label, ("ok", fn())
-        except SoftaugError as err:
-            return label, (f"failed:{type(err).__name__}", err)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for label, outcome in pool.map(lambda j: run_one(*j), jobs):
-                results[label] = outcome
-    else:
-        for label, fn in jobs:
-            results[label] = run_one(label, fn)[1]
+            results[label] = ("ok", fn())
+        except Exception as err:
+            results[label] = (f"failed:{type(err).__name__}", err)
     return results
 
 
@@ -556,7 +563,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> li
         arm_cfg = _variant_config(cfg, overrides)
         arm_out = out / label if out else None
         jobs.append((label, lambda c=arm_cfg, o=arm_out, t=label: run_pipeline(c, o, seed_tag=t)))
-    results = _run_arms(jobs, cfg.workers)
+    results = _run_arms(jobs)
     rows = []
     for label, _ in ABLATION_VARIANTS:
         status, payload = results[label]
@@ -633,7 +640,7 @@ def sweep_hyper(cfg: ExperimentConfig, parameters=SWEEP_PARAMETERS,
             arm_out = out / label.replace("=", "_") if out else None
             jobs.append((label, lambda c=arm_cfg, o=arm_out: run_pipeline(c, o)))
             order.append((pname, float(value), label))
-    results = _run_arms(jobs, cfg.workers)
+    results = _run_arms(jobs)
     rows = []
     for pname, value, label in order:
         status, payload = results[label]
@@ -651,13 +658,8 @@ def sweep_hyper(cfg: ExperimentConfig, parameters=SWEEP_PARAMETERS,
 def time_variants(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[tuple]:
     """Wall-clock of full training vs the WGAN-GP baseline, same data/seed."""
     out = Path(out_dir) if out_dir else None
-    full = _load_dataset(cfg)
-    pool_count = full.n_rows - cfg.test_count
-    pool, _ = split(full, SplitSpec(pool_count, cfg.test_count,
-                                    derive_seed(cfg.seed, "split")))
-    train_raw, _ = _select_train(cfg, pool)
-    normalizer = fit_normalizer(train_raw)
-    train_n = apply_normalizer(train_raw, normalizer)
+    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
+    train_n = prepare(cfg, manifest).train_set
     timings = {}
     for label, gan_cfg in (("wgan-gp", cfg.gan.wgan_gp_mode()), ("full", cfg.gan)):
         t0 = time.perf_counter()

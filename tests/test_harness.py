@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from softaug import (ExperimentConfig, GanConfig, config_to_ini,
-                     load_checkpoint, parse_config, run_ablation,
-                     run_pipeline, sweep_amount, sweep_hyper, time_variants)
+                     load_checkpoint, parse_config, run_ablation, run_pipeline,
+                     save_checkpoint, sweep_amount, sweep_hyper, time_variants)
 from softaug.cli import main
 from softaug.data import load_csv
 from softaug.errors import ConfigError, ContractError, DataError
@@ -70,7 +70,6 @@ metrics_denormalized = yes
 
 [run]
 seed = 11
-workers = 2
 """)
     assert cfg.dataset_name == "friedman-like" and cfg.dataset_n == 300
     assert cfg.noise_sd == 0.25
@@ -83,7 +82,7 @@ workers = 2
     assert cfg.select_best is False
     assert cfg.models == ("mlp",) and cfg.mlp_hidden == (8, 4)
     assert cfg.metrics_denormalized is True
-    assert cfg.seed == 11 and cfg.workers == 2
+    assert cfg.seed == 11
 
 
 def test_parse_rejects_unknown_names_and_bad_values():
@@ -91,6 +90,8 @@ def test_parse_rejects_unknown_names_and_bad_values():
         parse_config("[gibberish]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[gan]\nmomentum = 0.9\n")
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        parse_config("[run]\nworkers = 2\n")
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config("[split]\ntest_count = many\n")
     with pytest.raises(ConfigError, match="expected a boolean"):
@@ -103,6 +104,8 @@ def test_parse_reads_a_file_path(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nseed = 9\n")
     assert parse_config(str(path)).seed == 9
+    with pytest.raises(ConfigError, match="cannot read config .*absent.ini"):
+        parse_config(str(tmp_path / "absent.ini"))
 
 
 def test_config_roundtrips_through_ini():
@@ -115,20 +118,16 @@ def test_config_roundtrips_through_ini():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(source="excel")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(source="csv")            # path missing
-    with pytest.raises(ConfigError):
-        ExperimentConfig(test_count=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(models=("forest",))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(bandwidth="-2")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(workers=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(generated_count=-1)
+    for bad in ({"source": "excel"},
+                {"source": "csv"},                # path missing
+                {"test_count": 0},
+                {"models": ("forest",)},
+                {"bandwidth": "-2"},
+                {"generated_count": -1},
+                {"dataset_n": 0},
+                {"noise_sd": -1.0}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
 
 
 def test_kernel_spec_conversion():
@@ -245,14 +244,20 @@ def test_run_arms_isolates_toolkit_failures():
     def boom():
         raise ContractError("broken arm")
 
-    results = _run_arms([("good", lambda: 41), ("bad", boom)], workers=2)
-    assert results["good"] == ("ok", 41)
+    def singular():
+        return np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+    results = _run_arms([("good", lambda: 41), ("bad", boom), ("linalg", singular),
+                         ("after", lambda: 42)])
+    assert results["good"] == ("ok", 41) and results["after"] == ("ok", 42)
     status, err = results["bad"]
     assert status == "failed:ContractError" and isinstance(err, ContractError)
+    status, err = results["linalg"]
+    assert status == "failed:LinAlgError" and isinstance(err, np.linalg.LinAlgError)
 
 
 def test_ablation_covers_every_variant(tmp_path):
-    cfg = _lean(workers=2)
+    cfg = _lean()
     rows = run_ablation(cfg, tmp_path)
     labels = [label for label, _ in ABLATION_VARIANTS]
     assert [r[0] for r in rows] == labels
@@ -342,7 +347,16 @@ def test_cli_select_train_generate_score(tmp_path):
     sc = tmp_path / "sc"
     assert main(["score", "--config", ini, "--checkpoint", str(ckpt),
                  "--out", str(sc)]) == 0
-    assert (sc / "quality.csv").exists()
+
+    # the stage commands share the pipeline's prelude and sub-seeds
+    pipe = tmp_path / "pipe"
+    run_pipeline(_lean(), pipe)
+    for stage, name in ((sel, "acquisition.csv"), (trn, "trace.csv"),
+                        (trn, "checkpoint.bin"), (sc, "quality.csv")):
+        assert (stage / name).read_bytes() == (pipe / name).read_bytes(), name
+    for stage in (sel, trn):
+        manifest = json.loads((stage / "manifest.json").read_text())
+        assert [p["name"] for p in manifest["phases"]] == PHASES[:3]
 
 
 def test_cli_pipeline_writes_report(tmp_path):
@@ -352,25 +366,51 @@ def test_cli_pipeline_writes_report(tmp_path):
     assert (out / "report.csv").exists()
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[nope]\nx = 1\n")
-    assert main(["pipeline", "--config", str(bad)]) == 2
-
-    missing_csv = _ini(tmp_path, ExperimentConfig(
-        source="csv", csv_path=str(tmp_path / "absent.csv")))
-    assert main(["select", "--config", missing_csv]) == 3
-
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from softaug.errors import DivergenceError, SoftaugError
 
-    def diverge(*a, **k):
-        raise DivergenceError("no convergence")
+    def ini_file(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
 
-    monkeypatch.setattr("softaug.cli.run_pipeline", diverge)
-    assert main(["pipeline"]) == 4
+    bad = ini_file("bad.ini", "[nope]\nx = 1\n")
+    missing_csv = ini_file("csv.ini", config_to_ini(ExperimentConfig(
+        source="csv", csv_path=str(tmp_path / "absent.csv"))))
+    no_pool = ini_file("no_pool.ini", config_to_ini(_lean(test_count=80)))
+    ini = ini_file("lean.ini", config_to_ini(_lean()))
+    ckpt = tmp_path / "trn" / "checkpoint.bin"
+    assert main(["train", "--config", ini, "--out", str(ckpt.parent)]) == 0
+    model, extra = load_checkpoint(ckpt)
+    seedless = tmp_path / "seedless.bin"
+    save_checkpoint(model, seedless, extra={"normalizer": extra["normalizer"]})
 
-    def broken(*a, **k):
-        raise SoftaugError("other failure")
+    def raising(err):
+        def run(*a, **k):
+            raise err
+        return run
 
-    monkeypatch.setattr("softaug.cli.run_pipeline", broken)
-    assert main(["pipeline"]) == 1
+    # (argv, patched run_pipeline, exit code, stderr fragment)
+    table = [
+        (["pipeline", "--config", bad], None, 2, "unknown config section [nope]"),
+        (["pipeline", "--config", str(tmp_path / "absent.ini")], None, 2,
+         "cannot read config"),
+        (["select", "--config", missing_csv], None, 3, "absent.csv"),
+        (["select", "--config", no_pool], None, 3, "leaves a pool of 0"),
+        (["score", "--config", ini, "--checkpoint", str(ckpt), "--seed", "5"], None, 2,
+         "seed 5 differs from seed 0"),
+        (["score", "--config", ini, "--checkpoint", str(seedless)], None, 1,
+         "seedless.bin records no seed"),
+        (["ablate", "--workers", "2"], None, 2, "unrecognized arguments: --workers 2"),
+        (["pipeline"], DivergenceError("no convergence"), 4, "no convergence"),
+        (["pipeline"], SoftaugError("other failure"), 1, "other failure"),
+    ]
+    for argv, err, code, fragment in table:
+        if err is not None:
+            monkeypatch.setattr("softaug.cli.run_pipeline", raising(err))
+        try:
+            got = main(argv)
+        except SystemExit as exit_:
+            got = exit_.code
+        stderr = capsys.readouterr().err
+        assert (got, fragment in stderr) == (code, True), (argv, stderr)
