@@ -8,8 +8,8 @@ from .errors import (  # noqa: F401
     DegeneracyError, ConditioningError, DivergenceError,
 )
 from .rng import SeededRng, derive_seed, gaussian_noise  # noqa: F401
-from .autodiff import Tensor, grad, replay  # noqa: F401
-from .layers import Mlp, init_mlp, forward_mlp, grad_wrt_params, grad_wrt_input  # noqa: F401
+from .autodiff import Tensor, grad  # noqa: F401
+from .layers import Mlp, init_mlp  # noqa: F401
 from .optim import Adam  # noqa: F401
 from .data import (  # noqa: F401
     TabularDataset, NormalizationSpec, SplitSpec, load_csv, save_csv,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import BudgetError, ContractError, DegeneracyError
-from .regress import KernelRidgeRegressor, RegressorSpec
+from .regress import RegressorSpec, make_regressor
 from .rng import SeededRng, derive_seed
 
 LLOYD_TOL = 1e-6
@@ -299,8 +299,4 @@ def run_active_selection(
 def _fit_selection_model(spec: RegressorSpec, points: np.ndarray, state: SelectionState):
     x = points[np.asarray(state.labeled, dtype=int)]
     y = np.array([state.labels[i] for i in state.labeled])
-    model = KernelRidgeRegressor(spec) if spec.kind == "kernel-ridge" else None
-    if model is None:
-        from .regress import MlpRegressor
-        model = MlpRegressor(spec)
-    return model.fit(x, y)
+    return make_regressor(spec).fit(x, y)

@@ -6,10 +6,6 @@ themselves, so a recorded gradient is itself a differentiable graph; that
 is what the critic's gradient-norm penalty needs (gradient of a gradient).
 The one deliberate shortcut: the leaky-relu backward treats its slope mask
 as a constant, whose derivative is zero almost everywhere.
-
-Graphs replay: every node remembers its op name and the non-tensor
-arguments, so `replay` can recompute the whole graph from the leaves and
-must reproduce the recorded values bit-exactly.
 """
 from __future__ import annotations
 
@@ -33,10 +29,10 @@ _SECOND_ORDER_OK = {
 class Tensor:
     """One graph node: a float64 matrix plus links to what produced it."""
 
-    __slots__ = ("value", "op", "aux", "parents", "requires_grad")
+    __slots__ = ("value", "op", "parents", "requires_grad")
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf",
-                 aux=None, parents: tuple = ()):
+                 parents: tuple = ()):
         v = np.asarray(value, dtype=np.float64)
         if v.ndim == 0:
             v = v.reshape(1, 1)
@@ -46,7 +42,6 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D matrices, got ndim={v.ndim}")
         self.value = v
         self.op = op
-        self.aux = aux
         self.parents = parents
         self.requires_grad = requires_grad or any(p.requires_grad for p, _ in parents)
 
@@ -90,10 +85,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    return Tensor(x)
-
-
 def zeros(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)))
 
@@ -129,7 +120,7 @@ def mul(a, b) -> Tensor:
 
 def scale(a, c: float) -> Tensor:
     a, c = as_tensor(a), float(c)
-    return Tensor(a.value * c, op="scale", aux=c,
+    return Tensor(a.value * c, op="scale",
                   parents=((a, lambda g: scale(g, c)),))
 
 
@@ -139,7 +130,7 @@ def neg(a) -> Tensor:
 
 def shift(a, c: float) -> Tensor:
     a, c = as_tensor(a), float(c)
-    return Tensor(a.value + c, op="shift", aux=c, parents=((a, lambda g: g),))
+    return Tensor(a.value + c, op="shift", parents=((a, lambda g: g),))
 
 
 def matmul(a, b) -> Tensor:
@@ -162,7 +153,7 @@ def leaky_relu(a, slope: float) -> Tensor:
     a, slope = as_tensor(a), float(slope)
     mask = np.where(a.value > 0.0, 1.0, slope)
     mask_t = Tensor(mask)
-    return Tensor(a.value * mask, op="leaky_relu", aux=slope,
+    return Tensor(a.value * mask, op="leaky_relu",
                   parents=((a, lambda g: mul(g, mask_t)),))
 
 
@@ -184,7 +175,7 @@ def square(a) -> Tensor:
 def pow_const(a, p: float) -> Tensor:
     """a**p elementwise; meant for positive bases (sqrt of sums of squares)."""
     a, p = as_tensor(a), float(p)
-    return Tensor(a.value ** p, op="pow_const", aux=p,
+    return Tensor(a.value ** p, op="pow_const",
                   parents=((a, lambda g: scale(mul(g, pow_const(a, p - 1.0)), p)),))
 
 
@@ -195,7 +186,7 @@ def broadcast(a, rows: int, cols: int) -> Tensor:
     if (n not in (1, rows)) or (k not in (1, cols)):
         raise ShapeError(f"cannot broadcast {a.shape} to {(rows, cols)}")
     value = np.broadcast_to(a.value, (rows, cols))
-    return Tensor(value, op="broadcast", aux=(rows, cols),
+    return Tensor(value, op="broadcast",
                   parents=((a, lambda g: sum_to(g, n, k)),))
 
 
@@ -210,7 +201,7 @@ def sum_to(a, rows: int, cols: int) -> Tensor:
         v = v.sum(axis=0, keepdims=True)
     if cols == 1 and k != 1:
         v = v.sum(axis=1, keepdims=True)
-    return Tensor(v, op="sum_to", aux=(rows, cols),
+    return Tensor(v, op="sum_to",
                   parents=((a, lambda g: broadcast(g, n, k)),))
 
 
@@ -249,7 +240,7 @@ def slice_cols(a, lo: int, hi: int) -> Tensor:
             parts.append(zeros(n, k - hi))
         return concat_cols(parts) if len(parts) > 1 else g
 
-    return Tensor(a.value[:, lo:hi], op="slice_cols", aux=(lo, hi),
+    return Tensor(a.value[:, lo:hi], op="slice_cols",
                   parents=((a, _vjp),))
 
 
@@ -274,37 +265,8 @@ def norm_rows(a, eps: float = 1e-24) -> Tensor:
     return pow_const(shift(sum_to(square(a), a.shape[0], 1), eps), 0.5)
 
 
-# ------------------------------------------------------------------- replay
-
-_FORWARD = {
-    "add": lambda vs, aux: vs[0] + vs[1],
-    "sub": lambda vs, aux: vs[0] - vs[1],
-    "mul": lambda vs, aux: vs[0] * vs[1],
-    "scale": lambda vs, aux: vs[0] * aux,
-    "shift": lambda vs, aux: vs[0] + aux,
-    "matmul": lambda vs, aux: vs[0] @ vs[1],
-    "transpose": lambda vs, aux: vs[0].T,
-    "leaky_relu": lambda vs, aux: vs[0] * np.where(vs[0] > 0.0, 1.0, aux),
-    "sigmoid": lambda vs, aux: 1.0 / (1.0 + np.exp(-vs[0])),
-    "square": lambda vs, aux: vs[0] * vs[0],
-    "pow_const": lambda vs, aux: vs[0] ** aux,
-    "broadcast": lambda vs, aux: np.broadcast_to(vs[0], aux),
-    "sum_to": None,  # special-cased below
-    "concat_cols": lambda vs, aux: np.concatenate(vs, axis=1),
-    "slice_cols": lambda vs, aux: vs[0][:, aux[0]:aux[1]],
-}
-
-
-def _replay_sum_to(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    if rows == 1 and v.shape[0] != 1:
-        v = v.sum(axis=0, keepdims=True)
-    if cols == 1 and v.shape[1] != 1:
-        v = v.sum(axis=1, keepdims=True)
-    return v
-
-
-def _walk(root: Tensor, grad_only: bool) -> list[Tensor]:
-    """Iterative post-order over the DAG (children before parents in output)."""
+def _walk(root: Tensor) -> list[Tensor]:
+    """Iterative post-order over the nodes that need a gradient (children first)."""
     order: list[Tensor] = []
     state: dict[int, int] = {}
     stack = [root]
@@ -314,7 +276,7 @@ def _walk(root: Tensor, grad_only: bool) -> list[Tensor]:
         if st == 0:
             state[id(node)] = 1
             for parent, _ in node.parents:
-                if (not grad_only or parent.requires_grad) and state.get(id(parent), 0) == 0:
+                if parent.requires_grad and state.get(id(parent), 0) == 0:
                     stack.append(parent)
         else:
             stack.pop()
@@ -322,24 +284,6 @@ def _walk(root: Tensor, grad_only: bool) -> list[Tensor]:
                 state[id(node)] = 2
                 order.append(node)
     return order
-
-
-def replay(root: Tensor) -> np.ndarray:
-    """Recompute the graph from its leaves; bit-identical to the record."""
-    values: dict[int, np.ndarray] = {}
-    for node in _walk(root, grad_only=False):
-        if not node.parents:
-            values[id(node)] = node.value
-            continue
-        vs = [values[id(p)] for p, _ in node.parents]
-        if node.op == "sum_to":
-            values[id(node)] = _replay_sum_to(vs[0], *node.aux)
-        else:
-            kernel = _FORWARD.get(node.op)
-            if kernel is None:
-                raise CapabilityError(f"no replay kernel for op {node.op!r}")
-            values[id(node)] = kernel(vs, node.aux)
-    return values[id(root)]
 
 
 # ------------------------------------------------------------------ backward
@@ -353,7 +297,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     """
     if output.value.size != 1:
         raise ContractError(f"grad needs a scalar output, got shape {output.shape}")
-    order = _walk(output, grad_only=True)
+    order = _walk(output)
     if create_graph:
         for node in order:
             if node.op not in _SECOND_ORDER_OK:

@@ -13,14 +13,12 @@ from pathlib import Path
 from .data import NormalizationSpec, apply_normalizer, invert_normalizer, save_csv
 from .errors import ConfigError, ContractError, DataError, DivergenceError, SoftaugError
 from .harness import (ACQ_HEADER, AMOUNT_HEADER, ABLATE_HEADER, HYPER_HEADER,
-                      QUALITY_COMMENT, QUALITY_HEADER, TIME_HEADER, TRACE_HEADER,
-                      ExperimentConfig, RunManifest, acquisition_rows, config_to_ini,
-                      parse_config, prepare, quality_rows, run_ablation, run_pipeline,
-                      sweep_amount, sweep_hyper, time_variants, trace_rows, write_csv,
-                      _write_manifest)
-from .quality import select_best_batch
-from .rgan import generate, load_checkpoint, save_checkpoint, train
-from .rng import derive_seed
+                      QUALITY_HEADER, TIME_HEADER, ExperimentConfig, acquisition_rows,
+                      generate_candidates, parse_config, prepare, quality_rows,
+                      rank_candidates, run_ablation, run_pipeline, run_record,
+                      score_candidates, sweep_amount, sweep_hyper, time_variants,
+                      train_gan, write_csv)
+from .rgan import load_checkpoint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,41 +73,30 @@ def _print_rows(header, rows) -> None:
 
 def _cmd_select(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    prep = prepare(cfg, manifest)
-    print(f"selected {prep.train_raw.n_rows} of {prep.pool.n_rows} pool rows")
-    if out:
-        save_csv(prep.train_raw, out / "selected_train.csv")
-        if prep.acquisitions:
-            write_csv(out / "acquisition.csv", ACQ_HEADER,
-                      acquisition_rows(prep.acquisitions))
-        (out / "config.echo.ini").write_text(manifest.config_ini)
-        _write_manifest(manifest, out)
+    with run_record(cfg, out) as manifest:
+        prep = prepare(cfg, manifest)
+        print(f"selected {prep.train_raw.n_rows} of {prep.pool.n_rows} pool rows")
+        if out:
+            save_csv(prep.train_raw, out / "selected_train.csv")
+            if prep.acquisitions:
+                write_csv(out / "acquisition.csv", ACQ_HEADER,
+                          acquisition_rows(prep.acquisitions))
     return 0
 
 
 def _cmd_train(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    prep = prepare(cfg, manifest)
-    model, trace = train(prep.train_set, cfg.gan, derive_seed(cfg.seed, "gan"))
+    with run_record(cfg, out) as manifest:
+        _, trace = train_gan(cfg, prepare(cfg, manifest), manifest, out)
     last_w = trace.wasserstein[-1] if trace.wasserstein else float("nan")
     print(f"trained {cfg.gan.iterations} iterations; last wasserstein estimate {last_w:.6g}")
-    manifest.gan = {"iterations": cfg.gan.iterations, "final_wasserstein": last_w}
-    if out:
-        write_csv(out / "trace.csv", TRACE_HEADER, trace_rows(trace))
-        save_checkpoint(model, out / "checkpoint.bin",
-                        extra={"normalizer": prep.normalizer.to_dict(), "seed": cfg.seed,
-                               "seed_tag": ""})
-        (out / "config.echo.ini").write_text(manifest.config_ini)
-        _write_manifest(manifest, out)
     return 0
 
 
 def _cmd_generate(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
     seed = args.seed if args.seed is not None else 0
-    batch = generate(model, args.count, derive_seed(seed, "gen:0"))
+    batch = generate_candidates(model, args.count, seed, 1)[0]
     if "normalizer" in extra:
         batch = invert_normalizer(batch, NormalizationSpec.from_dict(extra["normalizer"]))
     out = Path(args.out) if args.out else Path(".")
@@ -120,26 +107,22 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_score(cfg: ExperimentConfig, checkpoint: str) -> int:
+    """Rank every candidate batch, whatever `select_best` says."""
     out = _out_dir(cfg)
-    model, extra = load_checkpoint(checkpoint)
-    for key in ("normalizer", "seed"):
-        if key not in extra:
-            raise ContractError(f"checkpoint {checkpoint} records no {key}")
-    if extra["seed"] != cfg.seed:
-        raise ConfigError(f"seed {cfg.seed} differs from seed {extra['seed']} "
-                          f"that trained checkpoint {checkpoint}")
-    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    train_n = apply_normalizer(prepare(cfg, manifest).train_raw,
-                               NormalizationSpec.from_dict(extra["normalizer"]))
-    batches = [generate(model, cfg.generated_count, derive_seed(cfg.seed, f"gen:{i}"))
-               for i in range(cfg.candidate_batches)]
-    best, report = select_best_batch(train_n, batches, cfg.kernel_spec(), cfg.ds_folds,
-                                     seed=derive_seed(cfg.seed, "quality"))
+    with run_record(cfg, out) as manifest:
+        model, extra = load_checkpoint(checkpoint)
+        for key in ("normalizer", "seed"):
+            if key not in extra:
+                raise ContractError(f"checkpoint {checkpoint} records no {key}")
+        if extra["seed"] != cfg.seed:
+            raise ConfigError(f"seed {cfg.seed} differs from seed {extra['seed']} "
+                              f"that trained checkpoint {checkpoint}")
+        train_n = apply_normalizer(prepare(cfg, manifest).train_raw,
+                                   NormalizationSpec.from_dict(extra["normalizer"]))
+        batches, best, report = score_candidates(cfg, model, train_n, manifest, out,
+                                                 pick=rank_candidates)
     print(f"best batch: {best} of {len(batches)}")
     _print_rows(QUALITY_HEADER, quality_rows(report))
-    if out:
-        write_csv(out / "quality.csv", QUALITY_HEADER, quality_rows(report),
-                  comments=[QUALITY_COMMENT])
     return 0
 
 

@@ -5,6 +5,11 @@ per-phase sub-seeds through `derive_seed`, so phases stay decoupled:
 changing the GAN iteration count never changes the data split. All CSV
 outputs print floats with %.17g, which makes byte-identical reruns a
 testable contract; wall-clock lives only in manifest.json.
+
+`run_pipeline` is a chain of stage functions (`prepare`, `train_gan`,
+`score_candidates`, `fit_downstream`) inside one `run_record`. The CLI
+commands and the sweeps call the same functions, so each sub-seed label,
+artifact and manifest block is defined once.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import configparser
 import io
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -22,10 +28,10 @@ from .active import AcquisitionRecord, LabelBudget, run_active_selection
 from .data import (NormalizationSpec, SplitSpec, TabularDataset,
                    apply_normalizer, concat, fit_normalizer, invert_normalizer,
                    load_csv, save_csv, split, synth_make)
-from .errors import BudgetError, ConfigError, SoftaugError
+from .errors import BudgetError, ConfigError
 from .quality import BatchQuality, KernelSpec, select_best_batch
 from .regress import Metrics, RegressorSpec, evaluate, fit
-from .rgan import GanConfig, RganModel, TrainTrace, generate, load_checkpoint, save_checkpoint, train
+from .rgan import GanConfig, RganModel, TrainTrace, generate, save_checkpoint, train
 from .rng import SeededRng, derive_seed
 
 # --------------------------------------------------------------- the config
@@ -280,10 +286,6 @@ def write_csv(path, header: list[str], rows: list[tuple], comments: list[str] = 
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
-def trace_rows(trace: TrainTrace) -> list[tuple]:
-    return trace.numeric_rows()
-
-
 TRACE_HEADER = ["iteration", "critic_loss", "generator_loss",
                 "regression_loss", "wasserstein"]
 QUALITY_HEADER = ["batch", "mmd2", "ds", "mmd_rank", "ds_rank", "combined", "selected"]
@@ -329,16 +331,44 @@ def _json_default(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
-def _write_manifest(manifest: RunManifest, out_dir: Path | None) -> None:
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+@contextmanager
+def run_record(cfg: ExperimentConfig, out: Path | None, seed_tag: str = ""):
+    """The manifest of one run, written out however the run ends.
+
+    Yields a fresh manifest for the stages to fill. On leaving, writes
+    config.echo.ini and manifest.json under `out` when it is set; a failure
+    is first recorded against the last phase entered, then re-raised.
+    """
+    manifest = RunManifest(seed=cfg.seed, seed_tag=seed_tag,
+                           config_ini=config_to_ini(cfg))
+    try:
+        yield manifest
+    except BaseException as err:
+        manifest.error = {"phase": manifest.phases[-1]["name"] if manifest.phases else None,
+                          "type": type(err).__name__, "message": str(err)}
+        raise
+    finally:
+        if out:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "config.echo.ini").write_text(manifest.config_ini)
+            (out / "manifest.json").write_text(manifest.to_json())
+
+
+@contextmanager
+def _phase(manifest: RunManifest, name: str):
+    entry = {"name": name, "seconds": None}
+    manifest.phases.append(entry)
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        entry["seconds"] = time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------- pipeline
 
 REPORT_HEADER = ["model", "condition", "mae", "rmse"]
+CONDITIONS = ("real-only", "augmented")
 
 
 @dataclass
@@ -371,7 +401,7 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
     Records the data, selection and normalize phases and the dataset and
     selection blocks in `manifest`; a failure leaves its phase last.
     """
-    with _PhaseTimer(manifest, "data"):
+    with _phase(manifest, "data"):
         if cfg.source == "csv":
             full = load_csv(cfg.csv_path, cfg.label_column)
         else:
@@ -386,7 +416,7 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
                 f"for a train budget of {cfg.train_count}")
         pool, test = split(full, SplitSpec(pool_count, cfg.test_count,
                                            derive_seed(cfg.seed, "split")))
-    with _PhaseTimer(manifest, "selection"):
+    with _phase(manifest, "selection"):
         if cfg.active_enabled:
             budget = LabelBudget(initial=cfg.initial_count or None, total=cfg.train_count)
             spec = RegressorSpec(kind="kernel-ridge", ridge=cfg.ridge)
@@ -401,11 +431,77 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
             "method": "active" if cfg.active_enabled else "random",
             "acquisitions": [asdict(r) for r in acquisitions],
         }
-    with _PhaseTimer(manifest, "normalize"):
+    with _phase(manifest, "normalize"):
         normalizer = fit_normalizer(train_raw)
         return Prepared(pool, train_raw, acquisitions, normalizer,
                         apply_normalizer(train_raw, normalizer),
                         apply_normalizer(test, normalizer))
+
+
+def train_gan(cfg: ExperimentConfig, prep: Prepared, manifest: RunManifest,
+              out: Path | None = None, seed_tag: str = "") -> tuple[RganModel, TrainTrace]:
+    """Train the GAN on the normalized training rows; records the gan phase.
+
+    With `out`, writes trace.csv and checkpoint.bin. The checkpoint carries
+    the normalizer, the seed and the seed tag, which `score` and `generate`
+    read back.
+    """
+    gan_tag = f"gan:{seed_tag}" if seed_tag else "gan"
+    with _phase(manifest, "gan"):
+        model, trace = train(prep.train_set, cfg.gan, derive_seed(cfg.seed, gan_tag))
+        manifest.gan = {
+            "iterations": cfg.gan.iterations,
+            "pretrain_final_mse": trace.pretrain_mse[-1] if trace.pretrain_mse else None,
+            "final_wasserstein": trace.wasserstein[-1] if trace.wasserstein else None,
+        }
+        if out:
+            write_csv(out / "trace.csv", TRACE_HEADER, trace.numeric_rows())
+            save_checkpoint(model, out / "checkpoint.bin",
+                            extra={"normalizer": prep.normalizer.to_dict(),
+                                   "seed": cfg.seed, "seed_tag": seed_tag})
+    return model, trace
+
+
+def generate_candidates(model: RganModel, count: int, seed: int,
+                        batches: int) -> list[TabularDataset]:
+    """`batches` candidate batches of `count` rows; batch i draws from sub-seed gen:i."""
+    return [generate(model, count, derive_seed(seed, f"gen:{i}")) for i in range(batches)]
+
+
+def rank_candidates(cfg: ExperimentConfig, train_n: TabularDataset,
+                    batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
+    """The dual data evaluation: rank every batch by MMD and diversity score."""
+    return select_best_batch(train_n, batches, cfg.kernel_spec(), cfg.ds_folds,
+                             seed=derive_seed(cfg.seed, "quality"))
+
+
+def choose_batch(cfg: ExperimentConfig, train_n: TabularDataset,
+                 batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
+    """The batch a run keeps: the best ranked with `select_best` on, else the first."""
+    if cfg.select_best and batches[0].n_rows:
+        return rank_candidates(cfg, train_n, batches)
+    return 0, []
+
+
+def score_candidates(cfg: ExperimentConfig, model: RganModel, train_n: TabularDataset,
+                     manifest: RunManifest, out: Path | None = None,
+                     pick=choose_batch) -> tuple[list[TabularDataset], int, list[BatchQuality]]:
+    """Generate the candidate batches, then `pick` one and record the ranking.
+
+    Records the generate and quality phases and the quality block; with
+    `out`, writes quality.csv when there is a ranking.
+    """
+    with _phase(manifest, "generate"):
+        batches = generate_candidates(model, cfg.generated_count, cfg.seed,
+                                      cfg.candidate_batches)
+    with _phase(manifest, "quality"):
+        best, report = pick(cfg, train_n, batches)
+        manifest.quality = {"selected_batch": best,
+                            "batches": [asdict(b) for b in report]}
+        if out and report:
+            write_csv(out / "quality.csv", QUALITY_HEADER, quality_rows(report),
+                      comments=[QUALITY_COMMENT])
+    return batches, best, report
 
 
 def _downstream_spec(cfg: ExperimentConfig, kind: str) -> RegressorSpec:
@@ -414,6 +510,27 @@ def _downstream_spec(cfg: ExperimentConfig, kind: str) -> RegressorSpec:
     return RegressorSpec(kind="mlp", hidden=cfg.mlp_hidden, epochs=cfg.mlp_epochs,
                          learning_rate=cfg.mlp_learning_rate,
                          seed=derive_seed(cfg.seed, "downstream:mlp"))
+
+
+def fit_downstream(cfg: ExperimentConfig, train_n: TabularDataset, test_n: TabularDataset,
+                   normalizer: NormalizationSpec, selected: TabularDataset,
+                   conditions=CONDITIONS) -> dict[tuple[str, str], Metrics]:
+    """Fit each downstream model per condition and score it on the test rows.
+
+    "real-only" fits the training rows, "augmented" the training rows plus
+    `selected`. Metrics are keyed (model, condition) in model-major order.
+    """
+    data = {"real-only": train_n, "augmented": concat(train_n, selected)}
+    metrics: dict[tuple[str, str], Metrics] = {}
+    for kind in cfg.models:
+        spec = _downstream_spec(cfg, kind)
+        for condition in conditions:
+            m = evaluate(fit(spec, data[condition]), test_n)
+            if cfg.metrics_denormalized:
+                scale_width = normalizer.label_hi - normalizer.label_lo
+                m = Metrics(m.mae * scale_width, m.rmse * scale_width)
+            metrics[(kind, condition)] = m
+    return metrics
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -427,94 +544,28 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     and all completed phases' timings.
     """
     out = Path(out_dir) if out_dir else None
-    manifest = RunManifest(seed=cfg.seed, seed_tag=seed_tag,
-                           config_ini=config_to_ini(cfg))
-    gan_tag = f"gan:{seed_tag}" if seed_tag else "gan"
-
-    def phase(name):
-        return _PhaseTimer(manifest, name)
-
-    try:
+    with run_record(cfg, out, seed_tag) as manifest:
         prep = prepare(cfg, manifest)
-        train_n, test_n, normalizer = prep.train_set, prep.test_set, prep.normalizer
         if out and prep.acquisitions:
             write_csv(out / "acquisition.csv", ACQ_HEADER,
                       acquisition_rows(prep.acquisitions))
-        with phase("gan"):
-            model, trace = train(train_n, cfg.gan, derive_seed(cfg.seed, gan_tag))
-            manifest.gan = {
-                "iterations": cfg.gan.iterations,
-                "pretrain_final_mse": trace.pretrain_mse[-1] if trace.pretrain_mse else None,
-                "final_wasserstein": trace.wasserstein[-1] if trace.wasserstein else None,
-            }
-            if out:
-                write_csv(out / "trace.csv", TRACE_HEADER, trace_rows(trace))
-                save_checkpoint(model, out / "checkpoint.bin",
-                                extra={"normalizer": normalizer.to_dict(),
-                                       "seed": cfg.seed, "seed_tag": seed_tag})
-        with phase("generate"):
-            batches = [generate(model, cfg.generated_count,
-                                derive_seed(cfg.seed, f"gen:{i}"))
-                       for i in range(cfg.candidate_batches)]
-        with phase("quality"):
-            if cfg.generated_count == 0:
-                best, q_report = 0, []
-            elif cfg.select_best:
-                best, q_report = select_best_batch(
-                    train_n, batches, cfg.kernel_spec(), cfg.ds_folds,
-                    seed=derive_seed(cfg.seed, "quality"))
-            else:
-                best, q_report = 0, []
-            selected = batches[best]
-            manifest.quality = {"selected_batch": best,
-                                "batches": [asdict(b) for b in q_report]}
-            if out and q_report:
-                write_csv(out / "quality.csv", QUALITY_HEADER,
-                          quality_rows(q_report), comments=[QUALITY_COMMENT])
-            if out and selected.n_rows:
-                save_csv(invert_normalizer(selected, normalizer), out / "generated.csv")
-        with phase("downstream"):
-            augmented = concat(train_n, selected)
-            metrics: dict[tuple[str, str], Metrics] = {}
-            rows = []
-            for kind in cfg.models:
-                spec = _downstream_spec(cfg, kind)
-                for condition, ds in (("real-only", train_n), ("augmented", augmented)):
-                    m = evaluate(fit(spec, ds), test_n)
-                    if cfg.metrics_denormalized:
-                        scale_width = normalizer.label_hi - normalizer.label_lo
-                        m = Metrics(m.mae * scale_width, m.rmse * scale_width)
-                    metrics[(kind, condition)] = m
-                    rows.append((kind, condition, m.mae, m.rmse))
+        model, trace = train_gan(cfg, prep, manifest, out, seed_tag)
+        batches, best, q_report = score_candidates(cfg, model, prep.train_set,
+                                                   manifest, out)
+        selected = batches[best]
+        if out and selected.n_rows:
+            save_csv(invert_normalizer(selected, prep.normalizer), out / "generated.csv")
+        with _phase(manifest, "downstream"):
+            metrics = fit_downstream(cfg, prep.train_set, prep.test_set,
+                                     prep.normalizer, selected)
+            rows = [(kind, condition, m.mae, m.rmse)
+                    for (kind, condition), m in metrics.items()]
             manifest.report_header = list(REPORT_HEADER)
             manifest.report = [list(r) for r in rows]
             if out:
                 write_csv(out / "report.csv", REPORT_HEADER, rows)
-    except Exception as err:
-        manifest.error = {"phase": manifest.phases[-1]["name"] if manifest.phases else None,
-                          "type": type(err).__name__, "message": str(err)}
-        _write_manifest(manifest, out)
-        raise
-    if out:
-        (out / "config.echo.ini").write_text(manifest.config_ini)
-    _write_manifest(manifest, out)
-    return PipelineResult(manifest, model, trace, train_n, test_n, normalizer,
-                          selected, q_report, metrics)
-
-
-class _PhaseTimer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        self.manifest.phases.append({"name": self.name, "seconds": None})
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.manifest.phases[-1]["seconds"] = time.perf_counter() - self.t0
-        return False
+    return PipelineResult(manifest, model, trace, prep.train_set, prep.test_set,
+                          prep.normalizer, selected, q_report, metrics)
 
 
 # -------------------------------------------------------------- multi - arm
@@ -555,24 +606,36 @@ def _run_arms(jobs):
     return results
 
 
+def _arm_rows(cfg: ExperimentConfig, arms) -> list[tuple]:
+    """Run (key, callable) arms in order; one report row per model of each arm.
+
+    `key` is the tuple of an arm's leading report columns and the callable
+    returns metrics keyed (model, condition); rows read the augmented
+    condition. A failed arm gives one row with its status and NaN errors.
+    """
+    results = _run_arms(arms)
+    rows = []
+    for key, _ in arms:
+        status, payload = results[key]
+        if status != "ok":
+            rows.append((*key, "-", float("nan"), float("nan"), status))
+            continue
+        for kind in cfg.models:
+            m = payload[(kind, "augmented")]
+            rows.append((*key, kind, m.mae, m.rmse, "ok"))
+    return rows
+
+
 def run_ablation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[tuple]:
     """One pipeline per variant; arms share the split but not GAN noise."""
     out = Path(out_dir) if out_dir else None
-    jobs = []
+    arms = []
     for label, overrides in ABLATION_VARIANTS:
         arm_cfg = _variant_config(cfg, overrides)
         arm_out = out / label if out else None
-        jobs.append((label, lambda c=arm_cfg, o=arm_out, t=label: run_pipeline(c, o, seed_tag=t)))
-    results = _run_arms(jobs)
-    rows = []
-    for label, _ in ABLATION_VARIANTS:
-        status, payload = results[label]
-        if status == "ok":
-            for kind in cfg.models:
-                m = payload.metrics[(kind, "augmented")]
-                rows.append((label, kind, m.mae, m.rmse, "ok"))
-        else:
-            rows.append((label, "-", float("nan"), float("nan"), status))
+        arms.append(((label,), lambda c=arm_cfg, o=arm_out, t=label:
+                     run_pipeline(c, o, seed_tag=t).metrics))
+    rows = _arm_rows(cfg, arms)
     if out:
         write_csv(out / "report.csv", ABLATE_HEADER, rows)
     return rows
@@ -588,39 +651,16 @@ def sweep_amount(cfg: ExperimentConfig, amounts=SWEEP_AMOUNTS,
     """
     out = Path(out_dir) if out_dir else None
     base = run_pipeline(cfg, out / "base" if out else None)
-    rows = []
-    for amount in amounts:
-        try:
-            rows.extend(_amount_rows(cfg, base, int(amount)))
-        except SoftaugError as err:
-            rows.append((int(amount), "-", float("nan"), float("nan"),
-                         f"failed:{type(err).__name__}"))
+
+    def amount_metrics(amount: int):
+        batches = generate_candidates(base.model, amount, cfg.seed, cfg.candidate_batches)
+        best, _ = choose_batch(cfg, base.train_set, batches)
+        return fit_downstream(cfg, base.train_set, base.test_set, base.normalizer,
+                              batches[best], conditions=("augmented",))
+
+    rows = _arm_rows(cfg, [((int(a),), lambda a=int(a): amount_metrics(a)) for a in amounts])
     if out:
         write_csv(out / "report.csv", AMOUNT_HEADER, rows)
-    return rows
-
-
-def _amount_rows(cfg: ExperimentConfig, base: PipelineResult, amount: int) -> list[tuple]:
-    if amount == 0:
-        selected = TabularDataset(np.zeros((0, base.train_set.n_features)),
-                                  np.zeros(0), base.train_set.columns,
-                                  base.train_set.label_name, "generated")
-    else:
-        batches = [generate(base.model, amount, derive_seed(cfg.seed, f"gen:{i}"))
-                   for i in range(cfg.candidate_batches)]
-        if cfg.select_best:
-            best, _ = select_best_batch(base.train_set, batches, cfg.kernel_spec(),
-                                        cfg.ds_folds,
-                                        seed=derive_seed(cfg.seed, "quality"))
-        else:
-            best = 0
-        selected = batches[best]
-    augmented = concat(base.train_set, selected)
-    rows = []
-    for kind in cfg.models:
-        spec = _downstream_spec(cfg, kind)
-        m = evaluate(fit(spec, augmented), base.test_set)
-        rows.append((amount, kind, m.mae, m.rmse, "ok"))
     return rows
 
 
@@ -629,44 +669,38 @@ def sweep_hyper(cfg: ExperimentConfig, parameters=SWEEP_PARAMETERS,
     """Vary one loss weight at a time with the others pinned at 1."""
     out = Path(out_dir) if out_dir else None
     base_gan = replace(cfg.gan, gen_reg_weight=1.0, gp_weight=1.0, critic_reg_weight=1.0)
-    jobs = []
-    order = []
+    arms = []
     for pname in parameters:
         if pname not in SWEEP_PARAMETERS:
             raise ConfigError(f"unknown sweep parameter {pname!r}")
         for value in values:
-            label = f"{pname}={value:g}"
             arm_cfg = replace(cfg, gan=replace(base_gan, **{pname: float(value)}))
-            arm_out = out / label.replace("=", "_") if out else None
-            jobs.append((label, lambda c=arm_cfg, o=arm_out: run_pipeline(c, o)))
-            order.append((pname, float(value), label))
-    results = _run_arms(jobs)
-    rows = []
-    for pname, value, label in order:
-        status, payload = results[label]
-        if status == "ok":
-            for kind in cfg.models:
-                m = payload.metrics[(kind, "augmented")]
-                rows.append((pname, value, kind, m.mae, m.rmse, "ok"))
-        else:
-            rows.append((pname, value, "-", float("nan"), float("nan"), status))
+            arm_out = out / f"{pname}_{value:g}" if out else None
+            arms.append(((pname, float(value)), lambda c=arm_cfg, o=arm_out:
+                         run_pipeline(c, o).metrics))
+    rows = _arm_rows(cfg, arms)
     if out:
         write_csv(out / "report.csv", HYPER_HEADER, rows)
     return rows
 
 
 def time_variants(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[tuple]:
-    """Wall-clock of full training vs the WGAN-GP baseline, same data/seed."""
+    """Wall-clock of full training vs the WGAN-GP baseline, same data/seed.
+
+    The manifest records the prelude phases, then one gan phase per arm
+    (wgan-gp, full), and the report.
+    """
     out = Path(out_dir) if out_dir else None
-    manifest = RunManifest(seed=cfg.seed, seed_tag="", config_ini=config_to_ini(cfg))
-    train_n = prepare(cfg, manifest).train_set
-    timings = {}
-    for label, gan_cfg in (("wgan-gp", cfg.gan.wgan_gp_mode()), ("full", cfg.gan)):
-        t0 = time.perf_counter()
-        train(train_n, gan_cfg, derive_seed(cfg.seed, "gan"))
-        timings[label] = time.perf_counter() - t0
-    ratio = timings["full"] / timings["wgan-gp"] if timings["wgan-gp"] > 0 else float("inf")
-    rows = [("wgan-gp", timings["wgan-gp"], 1.0), ("full", timings["full"], ratio)]
-    if out:
-        write_csv(out / "report.csv", TIME_HEADER, rows)
+    with run_record(cfg, out) as manifest:
+        prep = prepare(cfg, manifest)
+        timings = {}
+        for label, gan_cfg in (("wgan-gp", cfg.gan.wgan_gp_mode()), ("full", cfg.gan)):
+            train_gan(replace(cfg, gan=gan_cfg), prep, manifest)
+            timings[label] = manifest.phases[-1]["seconds"]
+        ratio = timings["full"] / timings["wgan-gp"] if timings["wgan-gp"] > 0 else float("inf")
+        rows = [("wgan-gp", timings["wgan-gp"], 1.0), ("full", timings["full"], ratio)]
+        manifest.report_header = list(TIME_HEADER)
+        manifest.report = [list(r) for r in rows]
+        if out:
+            write_csv(out / "report.csv", TIME_HEADER, rows)
     return rows

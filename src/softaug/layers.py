@@ -6,7 +6,7 @@ or sigmoid final layer for score heads and bounded generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,46 +106,3 @@ def init_mlp(dims: Sequence[int], rng: SeededRng, slope: float = 0.01,
         layers.append((Tensor(w, requires_grad=True),
                        Tensor(np.zeros((1, fan_out)), requires_grad=True)))
     return Mlp(layers, slope=slope, out_activation=out_activation)
-
-
-def forward_mlp(net: Mlp, x: np.ndarray, record: bool = False):
-    """Run the network on raw features.
-
-    Returns (output, graph) where graph is the recorded output node when
-    `record` is set and None otherwise. The recorded path and the plain
-    path produce bit-identical values.
-    """
-    if not record:
-        out = net.forward_values(x)
-        _require_finite(out)
-        return out, None
-    node = net.forward(Tensor(x))
-    _require_finite(node.value)
-    return node.value, node
-
-
-def _require_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ContractError("network forward produced non-finite values")
-
-
-def grad_wrt_params(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """First-order gradients of a scalar loss for each parameter tensor."""
-    return ad.grad_values(loss, params)
-
-
-def grad_wrt_input(output: Tensor, input_node: Tensor) -> Tensor:
-    """Per-row input gradient of a per-row scalar output, as a graph node.
-
-    The output must be (n, 1) and each row may depend only on its own input
-    row (true for any row-wise network); the result is the (n, n_in) matrix
-    of row gradients and stays differentiable with respect to anything the
-    forward pass touched.
-    """
-    if output.shape[1] != 1:
-        raise ContractError(
-            f"input gradients need an (n, 1) output, got shape {output.shape}")
-    if not input_node.requires_grad:
-        raise ContractError(
-            "the input tensor must be created with requires_grad=True")
-    return ad.grad(ad.sum_all(output), [input_node], create_graph=True)[0]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import ContractError
-from .regress import (KernelRidgeRegressor, MlpRegressor, RegressorSpec,
-                      median_bandwidth, rbf_kernel)
+from .regress import RegressorSpec, make_regressor, median_bandwidth, rbf_kernel
 from .rng import SeededRng, derive_seed
 
 ArrayLike = Union[TabularDataset, np.ndarray]
@@ -87,9 +86,7 @@ def default_regressor_factory(spec: RegressorSpec | None = None) -> RegressorFac
     spec = spec or RegressorSpec(kind="kernel-ridge")
 
     def factory(x: np.ndarray, y: np.ndarray):
-        model = (KernelRidgeRegressor(spec) if spec.kind == "kernel-ridge"
-                 else MlpRegressor(spec))
-        return model.fit(x, y)
+        return make_regressor(spec).fit(x, y)
 
     return factory
 

@@ -144,9 +144,15 @@ class MlpRegressor:
 Regressor = Union[KernelRidgeRegressor, MlpRegressor]
 
 
+def make_regressor(spec: RegressorSpec) -> Regressor:
+    """An unfitted regressor of `spec.kind`."""
+    return KernelRidgeRegressor(spec) if spec.kind == "kernel-ridge" else MlpRegressor(spec)
+
+
 def fit(spec: RegressorSpec, ds: TabularDataset) -> Regressor:
-    model = KernelRidgeRegressor(spec) if spec.kind == "kernel-ridge" else MlpRegressor(spec)
-    return model.fit(ds.features, ds.labels)
+    """Fit on a whole dataset. Only downstream evaluation calls this; the
+    selection and quality fits call `make_regressor` directly."""
+    return make_regressor(spec).fit(ds.features, ds.labels)
 
 
 def evaluate(model: Regressor, ds: TabularDataset) -> Metrics:

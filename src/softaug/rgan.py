@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TabularDataset
-from .errors import ConfigError, ContractError, DivergenceError, ShapeError
+from .errors import ConfigError, ContractError, DivergenceError, SoftaugError
 from .layers import Mlp, init_mlp
 from .optim import Adam
 from .rng import SeededRng, gaussian_noise
@@ -409,22 +409,31 @@ def save_checkpoint(model: RganModel, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[RganModel, dict]:
-    """Rebuild a model; rejects bad magic, version or dimension mismatches."""
+    """Rebuild a model; any unreadable or malformed file is a ContractError."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read checkpoint: {err.strerror}") from None
     if raw[:8] != _MAGIC:
         raise ContractError(f"{path}: not a model checkpoint")
+    if len(raw) < 16:
+        raise ContractError(f"{path}: truncated checkpoint header")
     version, hlen = struct.unpack("<II", raw[8:16])
     if version != _FORMAT_VERSION:
         raise ContractError(
             f"{path}: format version {version}, expected {_FORMAT_VERSION}")
-    header = json.loads(raw[16:16 + hlen].decode())
-    cfg_dict = dict(header["config"])
-    cfg_dict["gen_hidden"] = tuple(cfg_dict["gen_hidden"])
-    config = GanConfig(**cfg_dict)
-    model = RganModel(header["n_features"], config, SeededRng(0),
-                      columns=tuple(header["columns"]),
-                      label_name=header["label_name"])
+    try:
+        header = json.loads(raw[16:16 + hlen].decode())
+        cfg_dict = dict(header["config"])
+        cfg_dict["gen_hidden"] = tuple(cfg_dict["gen_hidden"])
+        model = RganModel(header["n_features"], GanConfig(**cfg_dict), SeededRng(0),
+                          columns=tuple(header["columns"]),
+                          label_name=header["label_name"])
+    except (ValueError, KeyError, TypeError, SoftaugError) as err:
+        # ValueError covers bad JSON and bad UTF-8
+        raise ContractError(
+            f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
     offset = 16 + hlen
     for name, net in _layer_blocks(model):
         for li, (w, b) in enumerate(net.layers):

@@ -4,7 +4,6 @@ import pytest
 
 from softaug import CapabilityError, ContractError, SeededRng, ShapeError, Tensor
 from softaug import autodiff as ad
-from softaug.autodiff import replay
 
 from conftest import central_difference, max_relative_error
 
@@ -183,15 +182,6 @@ def test_constant_critic_penalty_is_one_per_row():
     assert np.allclose(pen.value, 1.0, atol=1e-9)
 
 
-# ------------------------------------------------------------------ replay
-
-def test_replay_reproduces_forward_bit_exactly():
-    loss_node, _, _ = _random_net_loss(55)
-    node = loss_node()
-    assert np.array_equal(replay(node), node.value)
-    assert np.array_equal(replay(node), node.value)
-
-
 def test_second_order_gate_names_unknown_op():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     odd = Tensor(a.value * 2.0, op="custom_double",
@@ -202,14 +192,6 @@ def test_second_order_gate_names_unknown_op():
     # first-order gradients of the same graph stay available
     (g,) = ad.grad(loss, [a], create_graph=False)
     assert np.array_equal(g.value, 2.0 * np.ones((2, 2)))
-
-
-def test_replay_rejects_unknown_op():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    odd = Tensor(a.value * 2.0, op="custom_double",
-                 parents=((a, lambda g: ad.scale(g, 2.0)),))
-    with pytest.raises(CapabilityError):
-        replay(ad.sum_all(odd))
 
 
 def test_requires_grad_propagates_through_ops():

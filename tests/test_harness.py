@@ -1,5 +1,6 @@
 """Harness and CLI: config parsing, pipeline artifacts, sweeps, exit codes."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,23 @@ def test_sweep_amount_zero_reproduces_the_real_only_baseline(tmp_path):
     assert (tmp_path / "base" / "report.csv").exists()
 
 
+def test_sweep_amount_isolates_a_failed_amount(monkeypatch):
+    import softaug.harness as harness
+    real_generate = harness.generate
+
+    def generate_failing_at_12(model, n, seed):
+        if n == 12:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_generate(model, n, seed)
+
+    monkeypatch.setattr(harness, "generate", generate_failing_at_12)
+    rows = sweep_amount(_lean(), amounts=(0, 12, 18))
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        (0, "kernel-ridge", "ok"), (12, "-", "failed:LinAlgError"),
+        (18, "kernel-ridge", "ok")]
+    assert np.isnan(rows[1][2]) and np.isnan(rows[1][3])
+
+
 def test_sweep_hyper_single_point_matches_a_direct_run():
     cfg = _lean()
     pinned = _lean(gan=GanConfig(
@@ -354,9 +372,20 @@ def test_cli_select_train_generate_score(tmp_path):
     for stage, name in ((sel, "acquisition.csv"), (trn, "trace.csv"),
                         (trn, "checkpoint.bin"), (sc, "quality.csv")):
         assert (stage / name).read_bytes() == (pipe / name).read_bytes(), name
-    for stage in (sel, trn):
+    for stage, phases in ((sel, PHASES[:3]), (trn, PHASES[:4]),
+                          (sc, PHASES[:3] + ["generate", "quality"])):
         manifest = json.loads((stage / "manifest.json").read_text())
-        assert [p["name"] for p in manifest["phases"]] == PHASES[:3]
+        assert [p["name"] for p in manifest["phases"]] == phases
+        assert manifest["error"] is None
+        echo = parse_config((stage / "config.echo.ini").read_text())
+        assert echo == replace(_lean(), out_dir=str(stage))
+    pipe_manifest = json.loads((pipe / "manifest.json").read_text())
+    trn_manifest = json.loads((trn / "manifest.json").read_text())
+    assert trn_manifest["gan"] == pipe_manifest["gan"]
+    assert trn_manifest["gan"]["pretrain_final_mse"] is not None
+    sc_manifest = json.loads((sc / "manifest.json").read_text())
+    assert sc_manifest["quality"] == pipe_manifest["quality"]
+    assert sum(b["selected"] for b in sc_manifest["quality"]["batches"]) == 1
 
 
 def test_cli_pipeline_writes_report(tmp_path):
@@ -384,6 +413,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     model, extra = load_checkpoint(ckpt)
     seedless = tmp_path / "seedless.bin"
     save_checkpoint(model, seedless, extra={"normalizer": extra["normalizer"]})
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(ckpt.read_bytes()[:40])
 
     def raising(err):
         def run(*a, **k):
@@ -401,6 +432,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
          "seed 5 differs from seed 0"),
         (["score", "--config", ini, "--checkpoint", str(seedless)], None, 1,
          "seedless.bin records no seed"),
+        (["generate", "--checkpoint", str(truncated), "--count", "3"], None, 1,
+         "truncated.bin: malformed checkpoint header"),
+        (["generate", "--checkpoint", str(tmp_path / "absent.bin"), "--count", "3"], None, 1,
+         "absent.bin: cannot read checkpoint"),
         (["ablate", "--workers", "2"], None, 2, "unrecognized arguments: --workers 2"),
         (["pipeline"], DivergenceError("no convergence"), 4, "no convergence"),
         (["pipeline"], SoftaugError("other failure"), 1, "other failure"),
@@ -413,4 +448,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         except SystemExit as exit_:
             got = exit_.code
         stderr = capsys.readouterr().err
-        assert (got, fragment in stderr) == (code, True), (argv, stderr)
+        # one line per error; argparse adds its usage line
+        one_line = len(stderr.splitlines()) == 1 or "unrecognized arguments" in stderr
+        assert (got, fragment in stderr, one_line) == (code, True, True), (argv, stderr)

@@ -1,10 +1,8 @@
-"""MLP container: forward passes, recording, init, and input gradients."""
+"""MLP container: forward passes, recording, init and copies."""
 import numpy as np
 import pytest
 
-from softaug import (ContractError, SeededRng, ShapeError, Tensor, forward_mlp,
-                     grad_wrt_input, grad_wrt_params, init_mlp)
-from softaug import autodiff as ad
+from softaug import ContractError, SeededRng, ShapeError, Tensor, init_mlp
 from softaug.layers import Mlp
 
 
@@ -49,16 +47,6 @@ def test_forward_values_equals_graph_forward():
     assert np.array_equal(net.forward_values(x), net.forward(Tensor(x)).value)
 
 
-def test_forward_mlp_record_replays_bit_exactly():
-    net = init_mlp([2, 5, 1], SeededRng(12))
-    x = SeededRng(13).normal(3, 2)
-    plain, none_graph = forward_mlp(net, x, record=False)
-    assert none_graph is None
-    recorded, node = forward_mlp(net, x, record=True)
-    assert np.array_equal(plain, recorded)
-    assert np.array_equal(ad.replay(node), recorded)
-
-
 def test_dimension_mismatch_names_the_layer():
     net = init_mlp([3, 4, 1], SeededRng(1))
     with pytest.raises(ShapeError, match="layer 0"):
@@ -99,36 +87,3 @@ def test_checksum_tracks_values():
     assert before == net.checksum()
     net.layers[0][1].value[0, 0] = 0.5
     assert net.checksum() != before
-
-
-def test_grad_wrt_params_shapes_match():
-    net = init_mlp([2, 4, 1], SeededRng(5))
-    out = net.forward(Tensor(SeededRng(6).normal(3, 2)))
-    grads = grad_wrt_params(ad.mean_all(ad.square(out)), net.params())
-    assert len(grads) == len(net.params())
-    for g, p in zip(grads, net.params()):
-        assert g.shape == p.value.shape
-        assert np.all(np.isfinite(g))
-
-
-def test_grad_wrt_input_requires_grad_flag():
-    net = init_mlp([2, 4, 1], SeededRng(5))
-    x_plain = Tensor(np.ones((3, 2)))
-    with pytest.raises(ContractError):
-        grad_wrt_input(net.forward(x_plain), x_plain)
-    x = Tensor(np.ones((3, 2)), requires_grad=True)
-    g = grad_wrt_input(net.forward(x), x)
-    assert g.shape == (3, 2)
-
-
-def test_grad_wrt_input_requires_column_output():
-    net = init_mlp([2, 4, 2], SeededRng(5))
-    x = Tensor(np.ones((3, 2)), requires_grad=True)
-    with pytest.raises(ContractError):
-        grad_wrt_input(net.forward(x), x)
-
-
-def test_forward_rejects_non_finite():
-    net = init_mlp([2, 3, 1], SeededRng(2))
-    with np.errstate(invalid="ignore"), pytest.raises(ContractError):
-        forward_mlp(net, np.array([[np.inf, 0.0]]))

@@ -458,3 +458,32 @@ def test_checkpoint_rejects_corruption(tmp_path):
     padded.write_bytes(raw + b"\x00" * 16)
     with pytest.raises(ContractError, match="trailing"):
         load_checkpoint(padded)
+
+
+def test_checkpoint_truncations_and_bit_flips_only_raise_contract_errors(tmp_path):
+    # a plain seeded loop: every truncation point and 2,000 single-bit flips
+    model = RganModel(2, _tiny(noise_dim=2, trunk_width=3, gen_hidden=(3,),
+                               critic_hidden=3, regressor_hidden=2), SeededRng(5))
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path, extra={"seed": 3, "seed_tag": "",
+                                        "normalizer": {"feature_lo": [0.0, 1.0]}})
+    raw = path.read_bytes()
+    cases = [raw[:n] for n in range(len(raw))]
+    rng = np.random.default_rng(20250131)
+    for pos, bit in zip(rng.integers(0, len(raw), 2000), rng.integers(0, 8, 2000)):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 1 << bit
+        cases.append(bytes(flipped))
+    bad = tmp_path / "bad.bin"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for data in cases:
+        bad.write_bytes(data)
+        try:
+            load_checkpoint(bad)
+        except ContractError as err:
+            assert str(bad) in str(err)
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] >= len(raw)
+    assert outcomes["loaded"] > 0
