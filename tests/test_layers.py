@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from softaug import ContractError, SeededRng, ShapeError, Tensor, init_mlp
+from softaug import autodiff as ad
 from softaug.layers import Mlp
 
 
@@ -45,6 +46,29 @@ def test_forward_values_equals_graph_forward():
     net = init_mlp([3, 6, 2], SeededRng(8), out_activation="sigmoid")
     x = SeededRng(9).normal(4, 3)
     assert np.array_equal(net.forward_values(x), net.forward(Tensor(x)).value)
+
+
+def test_grad_wrt_params_shapes_match():
+    net = init_mlp([2, 4, 1], SeededRng(5))
+    out = net.forward(Tensor(SeededRng(6).normal(3, 2)))
+    grads = ad.grad_values(ad.mean_all(ad.square(out)), net.params())
+    assert len(grads) == len(net.params())
+    for g, p in zip(grads, net.params()):
+        assert g.shape == p.value.shape
+        assert np.all(np.isfinite(g))
+
+
+def test_grad_wrt_input_requires_grad_flag():
+    # only an input made with requires_grad=True gets a gradient through the
+    # network; any other input reads zero
+    net = init_mlp([2, 4, 1], SeededRng(5))
+    x_plain = Tensor(np.ones((3, 2)))
+    (g_plain,) = ad.grad(ad.sum_all(net.forward(x_plain)), [x_plain], create_graph=True)
+    assert np.array_equal(g_plain.value, np.zeros((3, 2)))
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    (g,) = ad.grad(ad.sum_all(net.forward(x)), [x], create_graph=True)
+    assert g.shape == (3, 2) and g.requires_grad
+    assert np.any(g.value != 0.0)
 
 
 def test_dimension_mismatch_names_the_layer():
