@@ -17,8 +17,6 @@ from .errors import CapabilityError, ContractError, ShapeError
 
 Vjp = Callable[["Tensor"], "Tensor"]
 
-_FLOAT64 = np.dtype(np.float64)
-
 # Ops whose backward rule may itself be recorded and differentiated again.
 # grad(create_graph=True) refuses anything outside this set.
 _SECOND_ORDER_OK = {
@@ -35,27 +33,17 @@ class Tensor:
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = ()):
-        # every primitive passes a 2-D float64 array, stored as is: this runs
-        # for each of the ~1,450 nodes of a GAN iteration
-        if type(value) is np.ndarray and value.ndim == 2 and value.dtype is _FLOAT64:
-            v = value
-        else:
-            v = np.asarray(value, dtype=np.float64)
-            if v.ndim == 0:
-                v = v.reshape(1, 1)
-            elif v.ndim == 1:
-                v = v.reshape(1, -1)
-            elif v.ndim != 2:
-                raise ShapeError(f"tensors are 2-D matrices, got ndim={v.ndim}")
+        v = np.asarray(value, dtype=np.float64)
+        if v.ndim == 0:
+            v = v.reshape(1, 1)
+        elif v.ndim == 1:
+            v = v.reshape(1, -1)
+        elif v.ndim != 2:
+            raise ShapeError(f"tensors are 2-D matrices, got ndim={v.ndim}")
         self.value = v
         self.op = op
         self.parents = parents
-        if not requires_grad:
-            for parent, _ in parents:
-                if parent.requires_grad:
-                    requires_grad = True
-                    break
-        self.requires_grad = requires_grad
+        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in parents)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,12 +90,8 @@ def zeros(rows: int, cols: int) -> Tensor:
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.value.shape != b.value.shape:
+    if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _identity(g):
-    return g
 
 
 # ---------------------------------------------------------------- primitives
@@ -116,14 +100,14 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "add")
     return Tensor(a.value + b.value, op="add",
-                  parents=((a, _identity), (b, _identity)))
+                  parents=((a, lambda g: g), (b, lambda g: g)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "sub")
     return Tensor(a.value - b.value, op="sub",
-                  parents=((a, _identity), (b, neg)))
+                  parents=((a, lambda g: g), (b, lambda g: neg(g))))
 
 
 def mul(a, b) -> Tensor:
@@ -146,12 +130,12 @@ def neg(a) -> Tensor:
 
 def shift(a, c: float) -> Tensor:
     a, c = as_tensor(a), float(c)
-    return Tensor(a.value + c, op="shift", parents=((a, _identity),))
+    return Tensor(a.value + c, op="shift", parents=((a, lambda g: g),))
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape[1] != b.value.shape[0]:
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape} differ")
     return Tensor(a.value @ b.value, op="matmul", parents=(
         (a, lambda g: matmul(g, transpose(b))),
@@ -161,7 +145,7 @@ def matmul(a, b) -> Tensor:
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(a.value.T, op="transpose", parents=((a, transpose),))
+    return Tensor(a.value.T, op="transpose", parents=((a, lambda g: transpose(g)),))
 
 
 def leaky_relu(a, slope: float) -> Tensor:
@@ -198,35 +182,18 @@ def pow_const(a, p: float) -> Tensor:
 def broadcast(a, rows: int, cols: int) -> Tensor:
     """Tile a (1,1), (1,k) or (n,1) tensor up to (rows, cols)."""
     a = as_tensor(a)
-    n, k = a.value.shape
+    n, k = a.shape
     if (n not in (1, rows)) or (k not in (1, cols)):
         raise ShapeError(f"cannot broadcast {a.shape} to {(rows, cols)}")
-    return Tensor(_broadcast_view(a.value, rows, cols), op="broadcast",
+    value = np.broadcast_to(a.value, (rows, cols))
+    return Tensor(value, op="broadcast",
                   parents=((a, lambda g: sum_to(g, n, k)),))
-
-
-def _broadcast_view(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """`np.broadcast_to(v, (rows, cols))`: the same read-only strided view.
-
-    Built straight from the buffer when `v` is contiguous, which is several
-    times cheaper. The strides match broadcast_to's exactly (0 along every
-    axis of length 1), so numpy picks the same matmul kernel and results
-    stay bit-identical.
-    """
-    if not v.flags.c_contiguous:
-        return np.broadcast_to(v, (rows, cols))
-    n, k = v.shape
-    s0, s1 = v.strides
-    view = np.ndarray((rows, cols), np.float64, v, 0,
-                      (0 if n == 1 else s0, 0 if k == 1 else s1))
-    view.flags.writeable = False
-    return view
 
 
 def sum_to(a, rows: int, cols: int) -> Tensor:
     """Sum over the axes being collapsed, down to (rows, cols)."""
     a = as_tensor(a)
-    n, k = a.value.shape
+    n, k = a.shape
     if (rows not in (1, n)) or (cols not in (1, k)):
         raise ShapeError(f"cannot sum {a.shape} down to {(rows, cols)}")
     v = a.value
@@ -260,7 +227,7 @@ def concat_cols(parts: Sequence) -> Tensor:
 
 def slice_cols(a, lo: int, hi: int) -> Tensor:
     a = as_tensor(a)
-    n, k = a.value.shape
+    n, k = a.shape
     if not (0 <= lo < hi <= k):
         raise ShapeError(f"slice_cols: [{lo}, {hi}) out of range for {a.shape}")
 
@@ -303,21 +270,19 @@ def _walk(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     state: dict[int, int] = {}
     stack = [root]
-    push, pop, emit = stack.append, stack.pop, order.append
     while stack:
         node = stack[-1]
-        key = id(node)
-        st = state.get(key, 0)
+        st = state.get(id(node), 0)
         if st == 0:
-            state[key] = 1
+            state[id(node)] = 1
             for parent, _ in node.parents:
-                if parent.requires_grad and id(parent) not in state:
-                    push(parent)
+                if parent.requires_grad and state.get(id(parent), 0) == 0:
+                    stack.append(parent)
         else:
-            pop()
+            stack.pop()
             if st == 1:
-                state[key] = 2
-                emit(node)
+                state[id(node)] = 2
+                order.append(node)
     return order
 
 
@@ -339,18 +304,16 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
                 raise CapabilityError(
                     f"op {node.op!r} has no second-order backward rule")
     grads: dict[int, Tensor] = {id(output): Tensor(np.ones((1, 1)))}
-    get = grads.get
     for node in reversed(order):
-        g = get(id(node))
+        g = grads.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
             if not parent.requires_grad:
                 continue
             piece = vjp(g)
-            key = id(parent)
-            seen = get(key)
-            grads[key] = piece if seen is None else add(seen, piece)
+            seen = grads.get(id(parent))
+            grads[id(parent)] = piece if seen is None else add(seen, piece)
     out = []
     for w in wrt:
         g = grads.get(id(w))

@@ -18,7 +18,7 @@ from .harness import (ACQ_HEADER, AMOUNT_HEADER, ABLATE_HEADER, HYPER_HEADER,
                       rank_candidates, run_ablation, run_pipeline, run_record,
                       score_candidates, sweep_amount, sweep_hyper, time_variants,
                       train_gan, write_csv)
-from .rgan import load_checkpoint
+from .rgan import RganModel, load_checkpoint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,12 +93,33 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _load_checkpoint(path) -> tuple[RganModel, dict, NormalizationSpec | None]:
+    """`load_checkpoint` plus the stored normalizer, None when there is none.
+
+    A normalizer that cannot be read, or that does not fit the model's
+    features, is a ContractError naming the checkpoint.
+    """
+    model, extra = load_checkpoint(path)
+    if "normalizer" not in extra:
+        return model, extra, None
+    try:
+        spec = NormalizationSpec.from_dict(extra["normalizer"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ContractError(f"{path}: malformed normalizer "
+                            f"({type(err).__name__}: {err})") from None
+    if spec.feature_lo.shape != spec.feature_hi.shape or \
+            spec.feature_lo.shape != (model.n_features,):
+        raise ContractError(f"{path}: normalizer does not fit the model's "
+                            f"{model.n_features} features")
+    return model, extra, spec
+
+
 def _cmd_generate(args) -> int:
-    model, extra = load_checkpoint(args.checkpoint)
+    model, _, normalizer = _load_checkpoint(args.checkpoint)
     seed = args.seed if args.seed is not None else 0
     batch = generate_candidates(model, args.count, seed, 1)[0]
-    if "normalizer" in extra:
-        batch = invert_normalizer(batch, NormalizationSpec.from_dict(extra["normalizer"]))
+    if normalizer is not None:
+        batch = invert_normalizer(batch, normalizer)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     save_csv(batch, out / "generated.csv")
@@ -110,15 +131,14 @@ def _cmd_score(cfg: ExperimentConfig, checkpoint: str) -> int:
     """Rank every candidate batch, whatever `select_best` says."""
     out = _out_dir(cfg)
     with run_record(cfg, out) as manifest:
-        model, extra = load_checkpoint(checkpoint)
+        model, extra, normalizer = _load_checkpoint(checkpoint)
         for key in ("normalizer", "seed"):
             if key not in extra:
                 raise ContractError(f"checkpoint {checkpoint} records no {key}")
         if extra["seed"] != cfg.seed:
             raise ConfigError(f"seed {cfg.seed} differs from seed {extra['seed']} "
                               f"that trained checkpoint {checkpoint}")
-        train_n = apply_normalizer(prepare(cfg, manifest).train_raw,
-                                   NormalizationSpec.from_dict(extra["normalizer"]))
+        train_n = apply_normalizer(prepare(cfg, manifest).train_raw, normalizer)
         batches, best, report = score_candidates(cfg, model, train_n, manifest, out,
                                                  pick=rank_candidates)
     print(f"best batch: {best} of {len(batches)}")

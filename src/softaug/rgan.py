@@ -449,4 +449,7 @@ def load_checkpoint(path) -> tuple[RganModel, dict]:
     if offset != len(raw):
         raise ContractError(
             f"{path}: {len(raw) - offset} trailing bytes; dimensions do not match")
-    return model, header.get("extra", {})
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ContractError(f"{path}: malformed checkpoint header (extra is not an object)")
+    return model, extra

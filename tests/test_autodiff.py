@@ -18,36 +18,6 @@ def test_tensor_shapes_normalize():
         Tensor(np.zeros((2, 2, 2)))
 
 
-def test_tensor_keeps_float64_matrices_and_converts_the_rest():
-    v = np.arange(6.0).reshape(2, 3)
-    assert Tensor(v).value is v
-    for raw in (np.arange(6).reshape(2, 3), v.astype(">f8"), v.astype(np.float32),
-                v.tolist()):
-        t = Tensor(raw)
-        assert t.value.dtype == np.float64 and t.value.dtype.isnative
-        assert np.array_equal(t.value, v)
-    assert not Tensor(v).requires_grad and Tensor(v, requires_grad=True).requires_grad
-
-
-@pytest.mark.parametrize("shape, target", [((1, 3), (4, 3)), ((4, 1), (4, 3)),
-                                           ((1, 1), (4, 3)), ((4, 3), (4, 3))])
-def test_broadcast_value_is_numpy_broadcast_to(shape, target):
-    # same values, strides and read-only flag, whatever the source layout,
-    # so matmul on a broadcast value takes the same kernel as before
-    rng = np.random.default_rng(0)
-    rows, cols = shape
-    sources = [rng.random(shape),
-               rng.random((cols, rows)).T,
-               rng.random((rows, cols + 2))[:, 1:1 + cols],
-               rng.random((rows + 2, cols))[1:1 + rows]]
-    for src in sources:
-        got = ad.broadcast(Tensor(src), *target).value
-        want = np.broadcast_to(src, target)
-        assert got.shape == want.shape and got.strides == want.strides
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
-
-
 def test_item_requires_scalar():
     with pytest.raises(ContractError):
         Tensor(np.zeros((2, 1))).item()

@@ -14,7 +14,8 @@ from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATION_VARIANTS, RunManifest, _run_arms,
                              generate, write_csv)
 from softaug.quality import KernelSpec
-from softaug.rng import derive_seed
+from softaug.rgan import RganModel
+from softaug.rng import SeededRng, derive_seed
 
 PHASES = ["data", "selection", "normalize", "gan", "generate", "quality",
           "downstream"]
@@ -304,6 +305,21 @@ def test_sweep_amount_isolates_a_failed_amount(monkeypatch):
     assert np.isnan(rows[1][2]) and np.isnan(rows[1][3])
 
 
+def test_sweep_amount_reports_denormalized_metrics_like_the_pipeline():
+    cfg = _lean(metrics_denormalized=True)
+    pipe = run_pipeline(cfg)
+    rows = sweep_amount(cfg, amounts=(0, cfg.generated_count))
+    for row, condition in zip(rows, ("real-only", "augmented")):
+        m = pipe.metrics[("kernel-ridge", condition)]
+        assert (row[2], row[3], row[4]) == (m.mae, m.rmse, "ok")
+    # the same sweep in normalized units, scaled by the label range
+    width = pipe.normalizer.label_hi - pipe.normalizer.label_lo
+    assert width != 1.0
+    for row, plain in zip(rows, sweep_amount(_lean(), amounts=(0, cfg.generated_count))):
+        assert row[2] == pytest.approx(plain[2] * width, rel=1e-12)
+        assert row[3] == pytest.approx(plain[3] * width, rel=1e-12)
+
+
 def test_sweep_hyper_single_point_matches_a_direct_run():
     cfg = _lean()
     pinned = _lean(gan=GanConfig(
@@ -395,6 +411,42 @@ def test_cli_pipeline_writes_report(tmp_path):
     assert (out / "report.csv").exists()
 
 
+def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
+    # a plain seeded loop of single-bit flips inside the JSON header: each
+    # file loads with a normalizer that fits the model, or is a ContractError
+    from softaug.cli import _load_checkpoint
+    from softaug.data import NormalizationSpec
+
+    model = RganModel(2, replace(_lean().gan, noise_dim=2, trunk_width=3,
+                                 gen_hidden=(3,), critic_hidden=3,
+                                 regressor_hidden=2), SeededRng(5))
+    spec = NormalizationSpec(np.array([0.125, -2.5]), np.array([3.25, 4.0]), -1.5, 7.75)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path, extra={"seed": 3, "seed_tag": "",
+                                        "normalizer": spec.to_dict()})
+    raw = path.read_bytes()
+    header_end = 16 + int.from_bytes(raw[12:16], "little")
+    start = raw.index(b'"normalizer"')
+    end = raw.index(b'"seed"', start)
+    assert start < end < header_end
+    rng = np.random.default_rng(20250207)
+    bad = tmp_path / "bad.bin"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for pos, bit in zip(rng.integers(start, end, 1000), rng.integers(0, 8, 1000)):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 1 << bit
+        bad.write_bytes(bytes(flipped))
+        try:
+            _, _, got = _load_checkpoint(bad)
+        except ContractError as err:
+            assert str(bad) in str(err)
+            outcomes["rejected"] += 1
+        else:
+            assert got is None or got.feature_lo.shape == got.feature_hi.shape == (2,)
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from softaug.errors import DivergenceError, SoftaugError
 
@@ -415,6 +467,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     save_checkpoint(model, seedless, extra={"normalizer": extra["normalizer"]})
     truncated = tmp_path / "truncated.bin"
     truncated.write_bytes(ckpt.read_bytes()[:40])
+    # a renamed normalizer key keeps the header valid JSON of the same length
+    renamed = tmp_path / "renamed.bin"
+    renamed.write_bytes(ckpt.read_bytes().replace(b'"feature_lo"', b'"feature_mo"'))
 
     def raising(err):
         def run(*a, **k):
@@ -436,6 +491,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
          "truncated.bin: malformed checkpoint header"),
         (["generate", "--checkpoint", str(tmp_path / "absent.bin"), "--count", "3"], None, 1,
          "absent.bin: cannot read checkpoint"),
+        (["generate", "--checkpoint", str(renamed), "--count", "3"], None, 1,
+         "renamed.bin: malformed normalizer (KeyError"),
+        (["score", "--config", ini, "--checkpoint", str(renamed)], None, 1,
+         "renamed.bin: malformed normalizer (KeyError"),
         (["ablate", "--workers", "2"], None, 2, "unrecognized arguments: --workers 2"),
         (["pipeline"], DivergenceError("no convergence"), 4, "no convergence"),
         (["pipeline"], SoftaugError("other failure"), 1, "other failure"),

@@ -459,6 +459,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(ContractError, match="trailing"):
         load_checkpoint(padded)
 
+    not_object = tmp_path / "extra.bin"
+    not_object.write_bytes(raw.replace(b'"extra": {}', b'"extra": 70'))
+    with pytest.raises(ContractError, match="extra is not an object"):
+        load_checkpoint(not_object)
+
 
 def test_checkpoint_truncations_and_bit_flips_only_raise_contract_errors(tmp_path):
     # a plain seeded loop: every truncation point and 2,000 single-bit flips
