@@ -18,7 +18,7 @@ from .data import (  # noqa: F401
 )
 from .regress import RegressorSpec, Metrics, fit, evaluate  # noqa: F401
 from .active import LabelBudget, run_active_selection, kmeans, choose_k  # noqa: F401
-from .quality import KernelSpec, mmd2, diversity_score, select_best_batch  # noqa: F401
+from .quality import mmd2, diversity_score, select_best_batch  # noqa: F401
 from .rgan import (  # noqa: F401
     GanConfig, RganModel, TrainTrace, train, generate,
     save_checkpoint, load_checkpoint,

@@ -9,13 +9,11 @@ as a constant, whose derivative is zero almost everywhere.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, ContractError, ShapeError
-
-Vjp = Callable[["Tensor"], "Tensor"]
 
 # Ops whose backward rule may itself be recorded and differentiated again.
 # grad(create_graph=True) refuses anything outside this set.
@@ -53,29 +51,6 @@ class Tensor:
         if self.value.size != 1:
             raise ContractError(f"item() needs a 1x1 tensor, got shape {self.shape}")
         return float(self.value[0, 0])
-
-    # operator sugar; scalars go through shift/scale so graphs stay explicit
-    def __add__(self, other):
-        return shift(self, float(other)) if np.isscalar(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return shift(self, -float(other)) if np.isscalar(other) else sub(self, other)
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        return scale(self, float(other)) if np.isscalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"

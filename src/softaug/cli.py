@@ -13,11 +13,11 @@ from pathlib import Path
 from .data import NormalizationSpec, apply_normalizer, invert_normalizer, save_csv
 from .errors import ConfigError, ContractError, DataError, DivergenceError, SoftaugError
 from .harness import (ACQ_HEADER, AMOUNT_HEADER, ABLATE_HEADER, HYPER_HEADER,
-                      QUALITY_HEADER, TIME_HEADER, ExperimentConfig, acquisition_rows,
-                      generate_candidates, parse_config, prepare, quality_rows,
-                      rank_candidates, run_ablation, run_pipeline, run_record,
-                      score_candidates, sweep_amount, sweep_hyper, time_variants,
-                      train_gan, write_csv)
+                      QUALITY_HEADER, SWEEP_AMOUNTS, TIME_HEADER, ExperimentConfig,
+                      _int_tuple, acquisition_rows, generate_candidates, parse_config,
+                      prepare, quality_rows, rank_candidates, run_ablation, run_pipeline,
+                      run_record, score_candidates, sweep_amount, sweep_hyper,
+                      time_variants, train_gan, write_csv)
 from .rgan import RganModel, load_checkpoint
 
 
@@ -59,6 +59,15 @@ def _effective_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
+
+
+def _amounts(text: str) -> tuple[int, ...]:
+    """The --amounts list: at least one integer, none negative."""
+    amounts = _int_tuple(text, "--amounts")
+    for amount in amounts:
+        if amount < 0:
+            raise ConfigError(f"--amounts: row counts must be >= 0, got {amount}")
+    return amounts
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path | None:
@@ -171,11 +180,8 @@ def main(argv=None) -> int:
             _print_rows(ABLATE_HEADER, rows)
             return 0
         if args.command == "sweep-amount":
-            amounts = None
-            if args.amounts:
-                amounts = tuple(int(a) for a in args.amounts.split(",") if a.strip())
-            rows = sweep_amount(cfg, amounts, _out_dir(cfg)) if amounts else \
-                sweep_amount(cfg, out_dir=_out_dir(cfg))
+            amounts = SWEEP_AMOUNTS if args.amounts is None else _amounts(args.amounts)
+            rows = sweep_amount(cfg, amounts, _out_dir(cfg))
             _print_rows(AMOUNT_HEADER, rows)
             return 0
         if args.command == "sweep-hyper":

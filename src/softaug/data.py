@@ -147,14 +147,6 @@ class NormalizationSpec:
     label_lo: float
     label_hi: float
 
-    @property
-    def constant_features(self) -> np.ndarray:
-        return self.feature_hi <= self.feature_lo
-
-    @property
-    def constant_label(self) -> bool:
-        return self.label_hi <= self.label_lo
-
     def to_dict(self) -> dict:
         return {"feature_lo": self.feature_lo.tolist(),
                 "feature_hi": self.feature_hi.tolist(),
@@ -184,36 +176,25 @@ def _inverse_col(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return x * (hi - lo) + lo
 
 
-def apply_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDataset:
+def _map_columns(ds: TabularDataset, spec: NormalizationSpec, col_map) -> TabularDataset:
+    """Apply `col_map(column, lo, hi)` to every feature column and the labels."""
     if ds.n_features != spec.feature_lo.shape[0]:
         raise ShapeError(
             f"dataset has {ds.n_features} features, normalizer expects "
             f"{spec.feature_lo.shape[0]}")
-    cols = [_forward_col(ds.features[:, j], spec.feature_lo[j], spec.feature_hi[j])
+    cols = [col_map(ds.features[:, j], spec.feature_lo[j], spec.feature_hi[j])
             for j in range(ds.n_features)]
     feats = np.column_stack(cols) if cols else ds.features.copy()
-    labels = _forward_col(ds.labels, spec.label_lo, spec.label_hi)
+    labels = col_map(ds.labels, spec.label_lo, spec.label_hi)
     return TabularDataset(feats, labels, ds.columns, ds.label_name, ds.provenance)
+
+
+def apply_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDataset:
+    return _map_columns(ds, spec, _forward_col)
 
 
 def invert_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDataset:
-    if ds.n_features != spec.feature_lo.shape[0]:
-        raise ShapeError(
-            f"dataset has {ds.n_features} features, normalizer expects "
-            f"{spec.feature_lo.shape[0]}")
-    cols = [_inverse_col(ds.features[:, j], spec.feature_lo[j], spec.feature_hi[j])
-            for j in range(ds.n_features)]
-    feats = np.column_stack(cols) if cols else ds.features.copy()
-    labels = _inverse_col(ds.labels, spec.label_lo, spec.label_hi)
-    return TabularDataset(feats, labels, ds.columns, ds.label_name, ds.provenance)
-
-
-def normalize_labels(y: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
-    return _forward_col(np.asarray(y, dtype=float), spec.label_lo, spec.label_hi)
-
-
-def denormalize_labels(y: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
-    return _inverse_col(np.asarray(y, dtype=float), spec.label_lo, spec.label_hi)
+    return _map_columns(ds, spec, _inverse_col)
 
 
 # ------------------------------------------------------------------- splits

@@ -28,9 +28,9 @@ from .active import AcquisitionRecord, LabelBudget, run_active_selection
 from .data import (NormalizationSpec, SplitSpec, TabularDataset,
                    apply_normalizer, concat, fit_normalizer, invert_normalizer,
                    load_csv, save_csv, split, synth_make)
-from .errors import BudgetError, ConfigError
-from .quality import BatchQuality, KernelSpec, select_best_batch
-from .regress import Metrics, RegressorSpec, evaluate, fit
+from .errors import BudgetError, ConfigError, ContractError
+from .quality import BatchQuality, select_best_batch
+from .regress import Metrics, RegressorSpec, check_bandwidth, evaluate, fit
 from .rgan import GanConfig, RganModel, TrainTrace, generate, save_checkpoint, train
 from .rng import SeededRng, derive_seed
 
@@ -56,7 +56,7 @@ class ExperimentConfig:
     # quality
     candidate_batches: int = 5
     generated_count: int = 500
-    bandwidth: str = "median"           # "median" or a float literal
+    bandwidth: str = "median"           # "median" or a positive finite number
     ds_folds: int = 5
     select_best: bool = True
     # downstream
@@ -87,17 +87,10 @@ class ExperimentConfig:
         for m in self.models:
             if m not in ("kernel-ridge", "mlp"):
                 raise ConfigError(f"unknown downstream model {m!r}")
-        if self.bandwidth != "median":
-            try:
-                if float(self.bandwidth) <= 0:
-                    raise ValueError
-            except ValueError:
-                raise ConfigError(
-                    f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")
-
-    def kernel_spec(self) -> KernelSpec:
-        bw = "median" if self.bandwidth == "median" else float(self.bandwidth)
-        return KernelSpec(bandwidth=bw)
+        try:
+            check_bandwidth(self.bandwidth)
+        except ContractError as err:
+            raise ConfigError(str(err)) from None
 
 
 def _bool(text: str, where: str) -> bool:
@@ -365,6 +358,15 @@ def _phase(manifest: RunManifest, name: str):
         entry["seconds"] = time.perf_counter() - t0
 
 
+def _report(manifest: RunManifest, out: Path | None, header: list[str],
+            rows: list[tuple]) -> None:
+    """Record a run's report rows in its manifest and, with `out`, in report.csv."""
+    manifest.report_header = list(header)
+    manifest.report = [list(r) for r in rows]
+    if out:
+        write_csv(out / "report.csv", header, rows)
+
+
 # ----------------------------------------------------------------- pipeline
 
 REPORT_HEADER = ["model", "condition", "mae", "rmse"]
@@ -471,7 +473,7 @@ def generate_candidates(model: RganModel, count: int, seed: int,
 def rank_candidates(cfg: ExperimentConfig, train_n: TabularDataset,
                     batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
     """The dual data evaluation: rank every batch by MMD and diversity score."""
-    return select_best_batch(train_n, batches, cfg.kernel_spec(), cfg.ds_folds,
+    return select_best_batch(train_n, batches, cfg.bandwidth, cfg.ds_folds,
                              seed=derive_seed(cfg.seed, "quality"))
 
 
@@ -558,12 +560,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         with _phase(manifest, "downstream"):
             metrics = fit_downstream(cfg, prep.train_set, prep.test_set,
                                      prep.normalizer, selected)
-            rows = [(kind, condition, m.mae, m.rmse)
-                    for (kind, condition), m in metrics.items()]
-            manifest.report_header = list(REPORT_HEADER)
-            manifest.report = [list(r) for r in rows]
-            if out:
-                write_csv(out / "report.csv", REPORT_HEADER, rows)
+            _report(manifest, out, REPORT_HEADER,
+                    [(kind, condition, m.mae, m.rmse)
+                     for (kind, condition), m in metrics.items()])
     return PipelineResult(manifest, model, trace, prep.train_set, prep.test_set,
                           prep.normalizer, selected, q_report, metrics)
 
@@ -595,33 +594,24 @@ def _variant_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return replace(cfg, gan=gan, **top_over)
 
 
-def _run_arms(jobs):
-    """Run (label, callable) jobs in order; a failed arm never aborts the others."""
-    results = {}
-    for label, fn in jobs:
-        try:
-            results[label] = ("ok", fn())
-        except Exception as err:
-            results[label] = (f"failed:{type(err).__name__}", err)
-    return results
-
-
 def _arm_rows(cfg: ExperimentConfig, arms) -> list[tuple]:
     """Run (key, callable) arms in order; one report row per model of each arm.
 
     `key` is the tuple of an arm's leading report columns and the callable
     returns metrics keyed (model, condition); rows read the augmented
-    condition. A failed arm gives one row with its status and NaN errors.
+    condition. An arm that raises anything gives one row with its status
+    and NaN errors, and never aborts the others.
     """
-    results = _run_arms(arms)
     rows = []
-    for key, _ in arms:
-        status, payload = results[key]
-        if status != "ok":
-            rows.append((*key, "-", float("nan"), float("nan"), status))
+    for key, fn in arms:
+        try:
+            metrics = fn()
+        except Exception as err:
+            rows.append((*key, "-", float("nan"), float("nan"),
+                         f"failed:{type(err).__name__}"))
             continue
         for kind in cfg.models:
-            m = payload[(kind, "augmented")]
+            m = metrics[(kind, "augmented")]
             rows.append((*key, kind, m.mae, m.rmse, "ok"))
     return rows
 
@@ -635,9 +625,9 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> li
         arm_out = out / label if out else None
         arms.append(((label,), lambda c=arm_cfg, o=arm_out, t=label:
                      run_pipeline(c, o, seed_tag=t).metrics))
-    rows = _arm_rows(cfg, arms)
-    if out:
-        write_csv(out / "report.csv", ABLATE_HEADER, rows)
+    with run_record(cfg, out) as manifest:
+        rows = _arm_rows(cfg, arms)
+        _report(manifest, out, ABLATE_HEADER, rows)
     return rows
 
 
@@ -650,17 +640,19 @@ def sweep_amount(cfg: ExperimentConfig, amounts=SWEEP_AMOUNTS,
     real-only baseline exactly.
     """
     out = Path(out_dir) if out_dir else None
-    base = run_pipeline(cfg, out / "base" if out else None)
+    with run_record(cfg, out) as manifest:
+        base = run_pipeline(cfg, out / "base" if out else None)
 
-    def amount_metrics(amount: int):
-        batches = generate_candidates(base.model, amount, cfg.seed, cfg.candidate_batches)
-        best, _ = choose_batch(cfg, base.train_set, batches)
-        return fit_downstream(cfg, base.train_set, base.test_set, base.normalizer,
-                              batches[best], conditions=("augmented",))
+        def amount_metrics(amount: int):
+            batches = generate_candidates(base.model, amount, cfg.seed,
+                                          cfg.candidate_batches)
+            best, _ = choose_batch(cfg, base.train_set, batches)
+            return fit_downstream(cfg, base.train_set, base.test_set, base.normalizer,
+                                  batches[best], conditions=("augmented",))
 
-    rows = _arm_rows(cfg, [((int(a),), lambda a=int(a): amount_metrics(a)) for a in amounts])
-    if out:
-        write_csv(out / "report.csv", AMOUNT_HEADER, rows)
+        rows = _arm_rows(cfg, [((int(a),), lambda a=int(a): amount_metrics(a))
+                               for a in amounts])
+        _report(manifest, out, AMOUNT_HEADER, rows)
     return rows
 
 
@@ -678,9 +670,9 @@ def sweep_hyper(cfg: ExperimentConfig, parameters=SWEEP_PARAMETERS,
             arm_out = out / f"{pname}_{value:g}" if out else None
             arms.append(((pname, float(value)), lambda c=arm_cfg, o=arm_out:
                          run_pipeline(c, o).metrics))
-    rows = _arm_rows(cfg, arms)
-    if out:
-        write_csv(out / "report.csv", HYPER_HEADER, rows)
+    with run_record(cfg, out) as manifest:
+        rows = _arm_rows(cfg, arms)
+        _report(manifest, out, HYPER_HEADER, rows)
     return rows
 
 
@@ -699,8 +691,5 @@ def time_variants(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> l
             timings[label] = manifest.phases[-1]["seconds"]
         ratio = timings["full"] / timings["wgan-gp"] if timings["wgan-gp"] > 0 else float("inf")
         rows = [("wgan-gp", timings["wgan-gp"], 1.0), ("full", timings["full"], ratio)]
-        manifest.report_header = list(TIME_HEADER)
-        manifest.report = [list(r) for r in rows]
-        if out:
-            write_csv(out / "report.csv", TIME_HEADER, rows)
+        _report(manifest, out, TIME_HEADER, rows)
     return rows

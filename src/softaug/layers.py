@@ -31,14 +31,6 @@ class Mlp:
         if self.out_activation not in OUT_ACTIVATIONS:
             raise ContractError(f"unknown out_activation {self.out_activation!r}")
 
-    @property
-    def n_in(self) -> int:
-        return self.layers[0][0].shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1][0].shape[1]
-
     def params(self) -> list[Tensor]:
         out = []
         for w, b in self.layers:
@@ -46,7 +38,7 @@ class Mlp:
         return out
 
     def forward(self, x: Tensor) -> Tensor:
-        """Recorded forward pass; x is (n, n_in)."""
+        """Recorded forward pass; x is (n, dims[0])."""
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):

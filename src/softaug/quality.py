@@ -4,8 +4,8 @@ Two complementary scores, both lower-is-better:
 
 * mmd2: the biased (V-statistic) squared maximum mean discrepancy between
   the joint [x, y] rows of two sets under an RBF kernel, diagonal terms
-  included. The default bandwidth is the median pairwise distance over the
-  pooled rows of both sets.
+  included. The bandwidth is "median" (the median pairwise distance over
+  the pooled rows of both sets) or a fixed positive width.
 * diversity_score: a cross-fitting surrogate. Both sets are cut into K
   seeded folds; models trained on K-1 folds of one set are scored (MAE) on
   one fold of the other, in both directions, and the 2K fold MAEs are
@@ -21,15 +21,11 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import ContractError
-from .regress import RegressorSpec, make_regressor, median_bandwidth, rbf_kernel
+from .regress import (Bandwidth, RegressorSpec, _resolve_bandwidth, make_regressor,
+                      rbf_kernel)
 from .rng import SeededRng, derive_seed
 
 ArrayLike = Union[TabularDataset, np.ndarray]
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    bandwidth: Union[str, float] = "median"
 
 
 @dataclass
@@ -54,7 +50,7 @@ def _joint_rows(data: ArrayLike) -> np.ndarray:
     return rows
 
 
-def mmd2(a: ArrayLike, b: ArrayLike, kernel: KernelSpec = KernelSpec()) -> float:
+def mmd2(a: ArrayLike, b: ArrayLike, bandwidth: Bandwidth = "median") -> float:
     """Biased squared MMD between the joint rows of a and b.
 
     mean(K_aa) - 2*mean(K_ab) + mean(K_bb), diagonals included. Tiny
@@ -66,12 +62,7 @@ def mmd2(a: ArrayLike, b: ArrayLike, kernel: KernelSpec = KernelSpec()) -> float
         raise ContractError("mmd2 needs non-empty sets")
     if ra.shape[1] != rb.shape[1]:
         raise ContractError(f"joint widths differ: {ra.shape[1]} vs {rb.shape[1]}")
-    if kernel.bandwidth == "median":
-        sigma = median_bandwidth(np.vstack([ra, rb]))
-    else:
-        sigma = float(kernel.bandwidth)
-        if sigma <= 0:
-            raise ContractError(f"bandwidth must be positive, got {sigma}")
+    sigma = _resolve_bandwidth(bandwidth, np.vstack([ra, rb]))
     n, m = ra.shape[0], rb.shape[0]
     term_aa = float(rbf_kernel(ra, ra, sigma).sum()) / (n * n)
     term_ab = float(rbf_kernel(ra, rb, sigma).sum()) / (n * m)
@@ -150,7 +141,7 @@ def _ranks(values: Sequence[float]) -> list[int]:
 
 
 def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
-                      kernel: KernelSpec = KernelSpec(), folds: int = 5,
+                      bandwidth: Bandwidth = "median", folds: int = 5,
                       factory: RegressorFactory | None = None,
                       seed: int = 0) -> tuple[int, list[BatchQuality]]:
     """Pick the batch minimizing normalized mmd2 + normalized diversity score.
@@ -162,7 +153,7 @@ def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
     """
     if not batches:
         raise ContractError("select_best_batch needs at least one batch")
-    mmds = [max(mmd2(real, b, kernel), 0.0) for b in batches]
+    mmds = [max(mmd2(real, b, bandwidth), 0.0) for b in batches]
     dss = [diversity_score(real, b, folds, factory, seed) for b in batches]
 
     def norm(vals):

@@ -62,13 +62,29 @@ def median_bandwidth(rows: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def _resolve_bandwidth(bandwidth: Bandwidth, rows: np.ndarray) -> float:
+def check_bandwidth(bandwidth: Bandwidth) -> float | None:
+    """The fixed RBF width `bandwidth` names, or None for "median".
+
+    A fixed width is a positive finite number or text that parses as one;
+    any other value is a ContractError.
+    """
     if bandwidth == "median":
-        return median_bandwidth(rows)
-    bw = float(bandwidth)
-    if bw <= 0:
-        raise ContractError(f"bandwidth must be positive, got {bw}")
+        return None
+    try:
+        bw = float(bandwidth)
+        valid = np.isfinite(bw) and bw > 0
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ContractError(
+            f"bandwidth must be 'median' or a positive finite number, got {bandwidth!r}")
     return bw
+
+
+def _resolve_bandwidth(bandwidth: Bandwidth, rows: np.ndarray) -> float:
+    """The RBF width for `rows`: fixed, or their median pairwise distance."""
+    bw = check_bandwidth(bandwidth)
+    return median_bandwidth(rows) if bw is None else bw
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:

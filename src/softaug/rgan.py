@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TabularDataset
 from .errors import ConfigError, ContractError, DivergenceError, SoftaugError
-from .layers import Mlp, init_mlp
+from .layers import init_mlp
 from .optim import Adam
 from .rng import SeededRng, gaussian_noise
 
@@ -138,9 +137,6 @@ class RganModel:
             params += self.regressor_head.params()
         return params
 
-    def regressor_params(self):
-        return self.regressor_trunk.params() + self.regressor_head.params()
-
 
 # ------------------------------------------------------------------- losses
 
@@ -243,11 +239,10 @@ class TrainTrace:
     generator_loss: list[float]
     regression_loss: list[float]
     wasserstein: list[float]
-    wall_clock: list[float]
 
     @staticmethod
     def empty() -> "TrainTrace":
-        return TrainTrace([], [], [], [], [], [], [])
+        return TrainTrace([], [], [], [], [], [])
 
     def numeric_rows(self) -> list[tuple]:
         return list(zip(self.iteration, self.critic_loss, self.generator_loss,
@@ -264,7 +259,7 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
     if config.pretrain_epochs == 0:
         return []
     lr = config.pretrain_lr if config.pretrain_lr is not None else config.learning_rate
-    params = _dedup(model.regressor_params())
+    params = model.regressor_trunk.params() + model.regressor_head.params()
     opt = Adam(params, lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     xt = Tensor(train.features)
     yt = Tensor(train.labels.reshape(-1, 1))
@@ -274,15 +269,6 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
         history.append(loss.item())
         opt.step(ad.grad_values(loss, params))
     return history
-
-
-def _dedup(params):
-    seen, out = set(), []
-    for p in params:
-        if id(p) not in seen:
-            seen.add(id(p))
-            out.append(p)
-    return out
 
 
 def train(train_ds: TabularDataset, config: GanConfig, seed: int,
@@ -312,7 +298,6 @@ def train(train_ds: TabularDataset, config: GanConfig, seed: int,
                   config.adam_beta1, config.adam_beta2, config.adam_epsilon)
 
     for it in range(config.iterations):
-        t0 = time.perf_counter()
         parts = {}
         try:
             for _ in range(config.n_critic):
@@ -342,7 +327,6 @@ def train(train_ds: TabularDataset, config: GanConfig, seed: int,
         trace.generator_loss.append(gparts["loss"])
         trace.regression_loss.append(parts["regression"])
         trace.wasserstein.append(parts["wasserstein"])
-        trace.wall_clock.append(time.perf_counter() - t0)
     return model, trace
 
 

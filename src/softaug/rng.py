@@ -54,9 +54,6 @@ class SeededRng:
         u = self._gen.uniform(0.0, total)
         return int(np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(weights) - 1))
 
-    def spawn(self, label: str) -> "SeededRng":
-        return SeededRng(derive_seed(self.seed, label))
-
 
 def gaussian_noise(n: int, dim: int, rng: SeededRng) -> np.ndarray:
     """Standard-normal (n, dim) noise block from the given stream."""

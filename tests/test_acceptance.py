@@ -4,8 +4,11 @@ Each test recomputes its claim from scratch (independent oracles, literal
 re-implementations, or direct runs) and prints a single summary line to the
 real stdout so the gate's verdicts are visible in any runner.
 """
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from softaug import autodiff as ad
 from softaug.active import LabelBudget, init_select, kmeans, run_active_selection
 from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
-from softaug.quality import KernelSpec, diversity_score, mmd2
+from softaug.quality import diversity_score, mmd2
 from softaug.regress import KernelRidgeRegressor, RegressorSpec
 from softaug.rgan import critic_regressor_loss, generator_loss
 from softaug.rng import derive_seed, gaussian_noise
@@ -231,18 +234,18 @@ def test_criterion_03_acquisition_matches_brute_force():
 # ----------------------------------------------------------- 4: mmd analytic
 
 def test_criterion_04_mmd_analytic_and_ordering():
-    kernel = KernelSpec(bandwidth=1.0)
-    analytic = abs(mmd2(np.array([0.0]), np.array([1.0]), kernel)
+    bandwidth = 1.0
+    analytic = abs(mmd2(np.array([0.0]), np.array([1.0]), bandwidth)
                    - (2.0 - 2.0 * np.exp(-0.5)))
     a = np.random.default_rng(600).uniform(size=(30, 3))
-    self_mmd = mmd2(a, a.copy(), kernel)
+    self_mmd = mmd2(a, a.copy(), bandwidth)
     hits = 0
     for trial in range(100):
         rng = np.random.default_rng(700 + trial)
         x = rng.normal(size=(50, 2))
         same = rng.normal(size=(50, 2))
         shifted = rng.normal(size=(50, 2)) + 1.0
-        hits += mmd2(x, shifted, kernel) > mmd2(x, same, kernel)
+        hits += mmd2(x, shifted, bandwidth) > mmd2(x, same, bandwidth)
     ok = analytic <= 1e-9 and self_mmd <= 1e-12 and hits >= 95
     _report(4, "squared-discrepancy analytic value, self-zero and ordering", ok,
             f"analytic err {analytic:.1e}, self {self_mmd:.1e}, ordering {hits}/100")
@@ -286,33 +289,43 @@ def test_criterion_05_cross_fit_hand_case_and_mode_collapse():
 
 # ------------------------------------------- shared runs for 6, 8 and 9
 
-@pytest.fixture(scope="module")
-def paired_training_runs():
-    """Ten seeds, two arms each (full vs plain-adversarial), same budget."""
+def _paired_training_run(s):
+    """One seed, two arms (full vs plain-adversarial), same budget."""
     gan = GanConfig(iterations=2000, learning_rate=1e-3, batch_size=32,
                     regressor_hidden=16, pretrain_epochs=800, pretrain_lr=1e-2,
                     gen_reg_weight=10.0)
     truth = synth_truth("sinusoid-2d")
-    runs = []
-    for s in range(10):
-        ds = synth_make("sinusoid-2d", 50, 0.0, derive_seed(s, "data"))
-        norm = fit_normalizer(ds)
-        ds_n = apply_normalizer(ds, norm)
-        arms = {}
-        for tag, cfg in (("full", gan), ("plain", gan.wgan_gp_mode())):
-            t0 = time.perf_counter()
-            model, trace = train(ds_n, cfg, seed=derive_seed(s, "gan"))
-            seconds = time.perf_counter() - t0
-            batch = invert_normalizer(
-                generate(model, 500, derive_seed(s, "gen:0")), norm)
-            arms[tag] = {
-                "seconds": seconds,
-                "wasserstein": np.asarray(trace.wasserstein),
-                "median": float(np.median(np.abs(batch.labels
-                                                 - truth(batch.features)))),
-            }
-        runs.append(arms)
-    return runs
+    ds = synth_make("sinusoid-2d", 50, 0.0, derive_seed(s, "data"))
+    norm = fit_normalizer(ds)
+    ds_n = apply_normalizer(ds, norm)
+    arms = {}
+    for tag, cfg in (("full", gan), ("plain", gan.wgan_gp_mode())):
+        t0 = time.perf_counter()
+        model, trace = train(ds_n, cfg, seed=derive_seed(s, "gan"))
+        seconds = time.perf_counter() - t0
+        batch = invert_normalizer(
+            generate(model, 500, derive_seed(s, "gen:0")), norm)
+        arms[tag] = {
+            "seconds": seconds,
+            "wasserstein": np.asarray(trace.wasserstein),
+            "median": float(np.median(np.abs(batch.labels
+                                             - truth(batch.features)))),
+        }
+    return arms
+
+
+@pytest.fixture(scope="module")
+def paired_training_runs():
+    """Ten seeds, two arms each, the seeds spread over up to two processes.
+
+    Each run is seeded and its matrices are too small for BLAS threading,
+    so the results are the ones a serial loop gives. Both arms of a seed
+    share a process, which keeps the runtime ratio of criterion 09 fair.
+    Spawned processes keep the parent's BLAS threads out of a fork.
+    """
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_paired_training_run, range(10)))
 
 
 def test_criterion_06_generated_labels_track_the_target(paired_training_runs):
@@ -359,6 +372,8 @@ def test_criterion_09_full_method_stays_within_triple_runtime(paired_training_ru
 
 @pytest.fixture(scope="module")
 def augmentation_outcomes():
+    # Serial: the MLP fits are large enough for OpenBLAS to thread, so two
+    # processes oversubscribe the CPUs, and fewer threads change the MAEs.
     gan = GanConfig(iterations=2000, learning_rate=1e-3, batch_size=24,
                     regressor_hidden=4, pretrain_epochs=400, pretrain_lr=3e-3,
                     gen_reg_weight=10.0)

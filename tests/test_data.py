@@ -5,7 +5,7 @@ import pytest
 from softaug import (NormalizationSpec, SplitSpec, TabularDataset, concat,
                      apply_normalizer, fit_normalizer, invert_normalizer,
                      load_csv, save_csv, split, synth_make, synth_names)
-from softaug.data import normalize_labels, denormalize_labels, synth_truth
+from softaug.data import synth_truth
 from softaug.errors import (BudgetError, CatalogError, ContractError,
                             ParseError, SchemaError, ShapeError)
 
@@ -127,8 +127,6 @@ def test_constant_column_maps_to_half():
     out = apply_normalizer(ds, spec)
     assert np.all(out.features == 0.5)
     assert np.all(out.labels == 0.5)
-    assert np.all(spec.constant_features)
-    assert spec.constant_label
 
 
 def test_normalizer_spec_dict_roundtrip():
@@ -137,13 +135,6 @@ def test_normalizer_spec_dict_roundtrip():
     assert np.array_equal(again.feature_lo, spec.feature_lo)
     assert np.array_equal(again.feature_hi, spec.feature_hi)
     assert again.label_lo == spec.label_lo and again.label_hi == spec.label_hi
-
-
-def test_label_only_helpers_roundtrip():
-    spec = fit_normalizer(_toy(12, 2, seed=3))
-    y = np.array([0.1, 0.4, 0.9])
-    assert np.max(np.abs(denormalize_labels(normalize_labels(
-        denormalize_labels(y, spec), spec), spec) - denormalize_labels(y, spec))) < 1e-12
 
 
 # ------------------------------------------------------------------ splits

@@ -9,11 +9,13 @@ from softaug import (ExperimentConfig, GanConfig, config_to_ini,
                      load_checkpoint, parse_config, run_ablation, run_pipeline,
                      save_checkpoint, sweep_amount, sweep_hyper, time_variants)
 from softaug.cli import main
-from softaug.data import load_csv
+from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
-from softaug.harness import (ABLATION_VARIANTS, RunManifest, _run_arms,
-                             generate, write_csv)
-from softaug.quality import KernelSpec
+from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
+                             HYPER_HEADER, RunManifest, _arm_rows, generate,
+                             rank_candidates, write_csv)
+from softaug.quality import mmd2
+from softaug.regress import Metrics
 from softaug.rgan import RganModel
 from softaug.rng import SeededRng, derive_seed
 
@@ -125,6 +127,10 @@ def test_config_validation():
                 {"test_count": 0},
                 {"models": ("forest",)},
                 {"bandwidth": "-2"},
+                {"bandwidth": "0"},
+                {"bandwidth": "nan"},
+                {"bandwidth": "inf"},
+                {"bandwidth": "wide"},
                 {"generated_count": -1},
                 {"dataset_n": 0},
                 {"noise_sd": -1.0}):
@@ -132,9 +138,16 @@ def test_config_validation():
             ExperimentConfig(**bad)
 
 
-def test_kernel_spec_conversion():
-    assert _lean().kernel_spec() == KernelSpec(bandwidth="median")
-    assert _lean(bandwidth="0.5").kernel_spec() == KernelSpec(bandwidth=0.5)
+def test_ranking_reads_the_config_bandwidth():
+    rng = np.random.default_rng(3)
+    train_n, *batches = [TabularDataset(rng.uniform(size=(9, 2)), rng.uniform(size=9),
+                                        ("x1", "x2")) for _ in range(3)]
+    seen = []
+    for text, bandwidth in (("median", "median"), ("0.5", 0.5)):
+        _, report = rank_candidates(_lean(bandwidth=text), train_n, batches)
+        seen.append([q.mmd2 for q in report])
+        assert seen[-1] == [max(mmd2(train_n, b, bandwidth), 0.0) for b in batches]
+    assert seen[0] != seen[1]
 
 
 def test_write_csv_formatting(tmp_path):
@@ -249,13 +262,25 @@ def test_run_arms_isolates_toolkit_failures():
     def singular():
         return np.linalg.solve(np.zeros((2, 2)), np.ones(2))
 
-    results = _run_arms([("good", lambda: 41), ("bad", boom), ("linalg", singular),
-                         ("after", lambda: 42)])
-    assert results["good"] == ("ok", 41) and results["after"] == ("ok", 42)
-    status, err = results["bad"]
-    assert status == "failed:ContractError" and isinstance(err, ContractError)
-    status, err = results["linalg"]
-    assert status == "failed:LinAlgError" and isinstance(err, np.linalg.LinAlgError)
+    metrics = {("kernel-ridge", "augmented"): Metrics(0.25, 0.5)}
+    rows = _arm_rows(_lean(), [(("good",), lambda: metrics), (("bad",), boom),
+                               (("linalg",), singular), (("after",), lambda: metrics)])
+    assert rows[0] == ("good", "kernel-ridge", 0.25, 0.5, "ok")
+    assert rows[3] == ("after", "kernel-ridge", 0.25, 0.5, "ok")
+    for row, key, status in ((rows[1], "bad", "failed:ContractError"),
+                             (rows[2], "linalg", "failed:LinAlgError")):
+        assert (row[0], row[1], row[4]) == (key, "-", status)
+        assert np.isnan(row[2]) and np.isnan(row[3])
+
+
+def _assert_sweep_record(out, cfg, header, rows):
+    """The sweep's top directory holds its manifest, report and config echo."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] is None
+    assert manifest["report_header"] == header
+    assert manifest["report"] == [list(r) for r in rows]
+    assert (out / "report.csv").read_text().splitlines()[0] == ",".join(header)
+    assert parse_config((out / "config.echo.ini").read_text()) == cfg
 
 
 def test_ablation_covers_every_variant(tmp_path):
@@ -264,7 +289,7 @@ def test_ablation_covers_every_variant(tmp_path):
     labels = [label for label, _ in ABLATION_VARIANTS]
     assert [r[0] for r in rows] == labels
     assert all(r[4] == "ok" for r in rows)
-    assert (tmp_path / "report.csv").exists()
+    _assert_sweep_record(tmp_path, cfg, ABLATE_HEADER, rows)
     for label in labels:
         manifest = json.loads((tmp_path / label / "manifest.json").read_text())
         assert manifest["error"] is None
@@ -286,6 +311,7 @@ def test_sweep_amount_zero_reproduces_the_real_only_baseline(tmp_path):
     assert zero[2] == baseline.mae and zero[3] == baseline.rmse
     assert rows[1][4] == "ok"
     assert (tmp_path / "base" / "report.csv").exists()
+    _assert_sweep_record(tmp_path, cfg, AMOUNT_HEADER, rows)
 
 
 def test_sweep_amount_isolates_a_failed_amount(monkeypatch):
@@ -337,7 +363,7 @@ def test_sweep_hyper_row_structure_and_extremes(tmp_path):
                        values=(0.01, 100.0), out_dir=tmp_path)
     assert [(r[0], r[1], r[5]) for r in rows] == [
         ("critic_reg_weight", 0.01, "ok"), ("critic_reg_weight", 100.0, "ok")]
-    assert (tmp_path / "report.csv").exists()
+    _assert_sweep_record(tmp_path, _lean(), HYPER_HEADER, rows)
     with pytest.raises(ConfigError):
         sweep_hyper(_lean(), parameters=("slope",), values=(0.1,))
 
@@ -496,6 +522,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (["score", "--config", ini, "--checkpoint", str(renamed)], None, 1,
          "renamed.bin: malformed normalizer (KeyError"),
         (["ablate", "--workers", "2"], None, 2, "unrecognized arguments: --workers 2"),
+        (["sweep-amount", "--config", ini, "--amounts", "10,abc"], None, 2,
+         "--amounts: expected an integer, got 'abc'"),
+        (["sweep-amount", "--config", ini, "--amounts", "10,-5"], None, 2,
+         "--amounts: row counts must be >= 0, got -5"),
+        (["sweep-amount", "--config", ini, "--amounts", ","], None, 2,
+         "--amounts: expected a comma-separated list of integers"),
+        (["sweep-amount", "--config", ini, "--amounts", ""], None, 2,
+         "--amounts: expected a comma-separated list of integers"),
         (["pipeline"], DivergenceError("no convergence"), 4, "no convergence"),
         (["pipeline"], SoftaugError("other failure"), 1, "other failure"),
     ]

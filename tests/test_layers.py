@@ -85,7 +85,7 @@ def test_init_mlp_xavier_bounds_and_zero_biases():
         assert np.all(np.abs(w.value) <= bound)
         assert np.array_equal(b.value, np.zeros((1, fan_out)))
         assert w.requires_grad and b.requires_grad
-    assert net.n_in == 7 and net.n_out == 4
+    assert [w.shape for w, _ in net.layers] == [(7, 16), (16, 4)]
 
 
 def test_init_mlp_rejects_bad_arguments():

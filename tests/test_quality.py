@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from softaug import KernelSpec, diversity_score, mmd2, select_best_batch
+from softaug import diversity_score, mmd2, select_best_batch
 from softaug.data import TabularDataset, synth_make
 from softaug.errors import ContractError
 from softaug.quality import _content_fold_seed, _fold_indices
@@ -37,7 +37,7 @@ def _constant_factory(x, y):
 # --------------------------------------------------------------------- mmd2
 
 def test_mmd2_analytic_two_singletons():
-    got = mmd2(np.array([0.0]), np.array([1.0]), KernelSpec(bandwidth=1.0))
+    got = mmd2(np.array([0.0]), np.array([1.0]), 1.0)
     assert abs(got - (2.0 - 2.0 * np.exp(-0.5))) < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_mmd2_matches_naive_triple_loop():
     rng = np.random.default_rng(4)
     ra, rb = rng.normal(size=(8, 3)), rng.normal(size=(6, 3))
     sigma = 1.3
-    got = mmd2(ra, rb, KernelSpec(bandwidth=sigma))
+    got = mmd2(ra, rb, sigma)
     assert abs(got - _naive_mmd2(ra, rb, sigma)) < 1e-12
 
 
@@ -76,7 +76,7 @@ def test_mmd2_median_bandwidth_pools_both_sets():
     a, b = _random_dataset(10, 2, seed=5), _random_dataset(12, 2, seed=6)
     pooled = np.vstack([a.joint(), b.joint()])
     sigma = median_bandwidth(pooled)
-    assert mmd2(a, b) == mmd2(a, b, KernelSpec(bandwidth=sigma))
+    assert mmd2(a, b) == mmd2(a, b, sigma)
 
 
 def test_mmd2_accepts_datasets_and_raw_arrays_alike():
@@ -90,8 +90,9 @@ def test_mmd2_contract_errors():
         mmd2(np.zeros((0, 3)), a.joint())
     with pytest.raises(ContractError):
         mmd2(a, np.zeros((3, 5)))
-    with pytest.raises(ContractError):
-        mmd2(a, a, KernelSpec(bandwidth=-1.0))
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), "nan", "wide", None):
+        with pytest.raises(ContractError, match="positive finite"):
+            mmd2(a, a, bad)
     with pytest.raises(ContractError):
         mmd2(np.zeros((2, 2, 2)), a.joint())
 
@@ -102,8 +103,7 @@ def test_mmd2_separates_shifted_samples():
         a = rng.normal(size=(200, 2))
         b = rng.normal(size=(200, 2))
         shifted = rng.normal(size=(200, 2)) + 3.0
-        kernel = KernelSpec(bandwidth=1.0)
-        assert mmd2(a, shifted, kernel) > mmd2(a, b, kernel)
+        assert mmd2(a, shifted, 1.0) > mmd2(a, b, 1.0)
 
 
 # ---------------------------------------------------------- diversity score
@@ -263,8 +263,7 @@ def test_selection_matches_recoded_scorer():
     batches = [_random_dataset(15, 2, seed=s, provenance="generated")
                for s in (32, 33, 34)]
     sigma = 0.8
-    best, report = select_best_batch(real, batches,
-                                     KernelSpec(bandwidth=sigma), folds=3)
+    best, report = select_best_batch(real, batches, sigma, folds=3)
     want_best, want_mmds, want_dss = _naive_selection(
         real, batches, sigma, folds=3, seed=0)
     assert best == want_best

@@ -83,9 +83,10 @@ def test_duplicate_rows_with_zero_ridge_raise_conditioning_error():
 
 
 def test_negative_bandwidth_rejected():
-    model = KernelRidgeRegressor(RegressorSpec(bandwidth=-2.0))
-    with pytest.raises(ContractError, match="positive"):
-        model.fit(np.zeros((3, 1)), np.zeros(3))
+    for bad in (-2.0, 0.0, float("nan"), float("inf"), "-inf", "wide"):
+        model = KernelRidgeRegressor(RegressorSpec(bandwidth=bad))
+        with pytest.raises(ContractError, match="positive"):
+            model.fit(np.zeros((3, 1)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------- mlp

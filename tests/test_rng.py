@@ -59,20 +59,6 @@ def test_permutation_is_a_permutation():
     assert sorted(p.tolist()) == list(range(50))
 
 
-def test_spawn_gives_independent_named_streams():
-    parent = SeededRng(5)
-    child_a = parent.spawn("a")
-    child_b = parent.spawn("b")
-    assert not np.array_equal(child_a.normal(4, 4), child_b.normal(4, 4))
-    # spawning never consumes the parent stream
-    spawning_parent = SeededRng(5)
-    spawning_parent.spawn("a")
-    assert np.array_equal(spawning_parent.normal(3, 3), SeededRng(5).normal(3, 3))
-    # same parent seed + label => same child stream
-    assert np.array_equal(SeededRng(5).spawn("a").normal(4, 4),
-                          SeededRng(5).spawn("a").normal(4, 4))
-
-
 def test_choice_index_follows_weights():
     rng = SeededRng(21)
     counts = np.zeros(2)
