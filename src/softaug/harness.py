@@ -160,16 +160,10 @@ _SCHEMA = {
         "pretrain_epochs": (_int, "gan.pretrain_epochs"),
         "pretrain_lr": (_float, "gan.pretrain_lr"),
         "share_trunk": (_bool, "gan.share_trunk"),
-        "generator_regression": (_bool, "gan.generator_regression"),
-        "critic_regression": (_bool, "gan.critic_regression"),
         "trunk_width": (_int, "gan.trunk_width"),
         "gen_hidden": (_int_tuple, "gan.gen_hidden"),
         "critic_hidden": (_int, "gan.critic_hidden"),
         "regressor_hidden": (_int, "gan.regressor_hidden"),
-        "adam_beta1": (_float, "gan.adam_beta1"),
-        "adam_beta2": (_float, "gan.adam_beta2"),
-        "adam_epsilon": (_float, "gan.adam_epsilon"),
-        "slope": (_float, "gan.slope"),
     },
     "quality": {
         "candidate_batches": (_int, "candidate_batches"),

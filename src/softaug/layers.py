@@ -17,6 +17,7 @@ from .errors import ContractError, ShapeError
 from .rng import SeededRng
 
 OUT_ACTIVATIONS = ("leaky-relu", "linear", "sigmoid")
+SLOPE = 0.01                            # leaky-relu slope below zero
 
 
 @dataclass
@@ -24,7 +25,6 @@ class Mlp:
     """Weights plus activation policy; layer i maps dims[i] -> dims[i+1]."""
 
     layers: list[tuple[Tensor, Tensor]]
-    slope: float = 0.01
     out_activation: str = "leaky-relu"
 
     def __post_init__(self):
@@ -47,7 +47,7 @@ class Mlp:
                     f"layer {i}: input has {h.shape[1]} columns, weight expects {w.shape[0]}")
             z = ad.add(ad.matmul(h, w), ad.broadcast(b, h.shape[0], w.shape[1]))
             if i < last or self.out_activation == "leaky-relu":
-                h = ad.leaky_relu(z, self.slope)
+                h = ad.leaky_relu(z, SLOPE)
             elif self.out_activation == "sigmoid":
                 h = ad.sigmoid(z)
             else:
@@ -64,7 +64,7 @@ class Mlp:
                     f"layer {i}: input has {h.shape[1]} columns, weight expects {w.shape[0]}")
             z = h @ w.value + np.broadcast_to(b.value, (h.shape[0], w.shape[1]))
             if i < last or self.out_activation == "leaky-relu":
-                h = z * np.where(z > 0.0, 1.0, self.slope)
+                h = z * np.where(z > 0.0, 1.0, SLOPE)
             elif self.out_activation == "sigmoid":
                 h = 1.0 / (1.0 + np.exp(-z))
             else:
@@ -75,7 +75,7 @@ class Mlp:
         layers = [(Tensor(w.value.copy(), requires_grad=True),
                    Tensor(b.value.copy(), requires_grad=True))
                   for w, b in self.layers]
-        return Mlp(layers, slope=self.slope, out_activation=self.out_activation)
+        return Mlp(layers, out_activation=self.out_activation)
 
     def checksum(self) -> bytes:
         import hashlib
@@ -86,7 +86,7 @@ class Mlp:
         return h.digest()
 
 
-def init_mlp(dims: Sequence[int], rng: SeededRng, slope: float = 0.01,
+def init_mlp(dims: Sequence[int], rng: SeededRng,
              out_activation: str = "leaky-relu") -> Mlp:
     """Xavier-uniform weights, zero biases, drawn from the given stream."""
     if len(dims) < 2:
@@ -97,4 +97,4 @@ def init_mlp(dims: Sequence[int], rng: SeededRng, slope: float = 0.01,
         w = rng.uniform(fan_in, fan_out, -limit, limit)
         layers.append((Tensor(w, requires_grad=True),
                        Tensor(np.zeros((1, fan_out)), requires_grad=True)))
-    return Mlp(layers, slope=slope, out_activation=out_activation)
+    return Mlp(layers, out_activation=out_activation)

@@ -12,19 +12,19 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError, ShapeError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Holds first/second moments for a fixed parameter list; steps in place."""
 
-    def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-4):
         if not params:
             raise ContractError("Adam needs at least one parameter tensor")
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.step_count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -41,12 +41,12 @@ class Adam:
                 raise DivergenceError(
                     f"non-finite gradient at optimizer step {self.step_count + 1}")
         t = self.step_count + 1
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for g, p, m, v in zip(grads, self.params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
         self.step_count = t

@@ -11,13 +11,14 @@ after pretraining.
 Losses (per batch of N rows):
 * critic/regressor: -mean D(real) + mean D(fake)
     + (gp_weight/N) * sum (||grad D at interpolates|| - 1)^2
-    + critic_reg_weight * mean-residual term (when enabled)
+    + critic_reg_weight * mean-residual term
 * generator: -mean D(fake) + gen_reg_weight * mean-residual term
   (fake residuals steer the generator; the real-batch residual is added
   for loss-value fidelity even though its generator gradient is zero)
 
-With both regression terms off and sharing off, training is exactly a
-WGAN with gradient penalty.
+A regression term is on exactly when its weight is non-zero. With both
+weights at 0 and sharing off, training is exactly a WGAN with gradient
+penalty.
 """
 from __future__ import annotations
 
@@ -50,16 +51,10 @@ class GanConfig:
     pretrain_epochs: int = 200
     pretrain_lr: float | None = None
     share_trunk: bool = True
-    generator_regression: bool = True
-    critic_regression: bool = True
     trunk_width: int = 32
     gen_hidden: tuple[int, ...] = (32, 32)
     critic_hidden: int = 32
     regressor_hidden: int = 8
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    slope: float = 0.01
 
     def __post_init__(self):
         if self.noise_dim < 1:
@@ -78,8 +73,8 @@ class GanConfig:
 
     def wgan_gp_mode(self) -> "GanConfig":
         """The plain WGAN-GP baseline: no sharing, no regression terms."""
-        return replace(self, share_trunk=False, generator_regression=False,
-                       critic_regression=False)
+        return replace(self, share_trunk=False, gen_reg_weight=0.0,
+                       critic_reg_weight=0.0)
 
 
 class RganModel:
@@ -94,19 +89,18 @@ class RganModel:
         self.config = config
         self.columns = tuple(columns) if columns else tuple(f"x{j+1}" for j in range(d))
         self.label_name = label_name
-        s = config.slope
         # stream order is fixed: generator, trunk, critic head, regressor head
         self.generator = init_mlp([config.noise_dim, *config.gen_hidden, d + 1],
-                                  rng, s, out_activation="sigmoid")
-        trunk = init_mlp([d, config.trunk_width], rng, s)
+                                  rng, out_activation="sigmoid")
+        trunk = init_mlp([d, config.trunk_width], rng)
         self.critic_trunk = trunk
         self.critic_head = init_mlp([config.trunk_width + 1, config.critic_hidden, 1],
-                                    rng, s, out_activation="linear")
+                                    rng, out_activation="linear")
         # unshared mode copies the same initial trunk, so the critic starts
         # identically in every mode under one seed
         self.regressor_trunk = trunk if config.share_trunk else trunk.copy()
         self.regressor_head = init_mlp([config.trunk_width, config.regressor_hidden, 1],
-                                       rng, s, out_activation="linear")
+                                       rng, out_activation="linear")
 
     # ------------------------------------------------------------- forwards
 
@@ -140,21 +134,20 @@ class RganModel:
 
 # ------------------------------------------------------------------- losses
 
-def _residual_sq_sum(model: RganModel, x: Tensor, y: Tensor) -> Tensor:
-    """sum((regressor(x) - y)^2) as a graph node."""
-    return ad.sum_all(ad.square(ad.sub(model.regressor_predict(x), y)))
-
-
 def regression_loss(model: RganModel, real_x, real_y, fake_x, fake_y) -> Tensor:
-    """Mean joint residual over a real and a fake batch of equal size."""
+    """Mean joint residual over a real and a fake batch of equal size.
+
+    The fake rows may be graph nodes, as in the generator's update.
+    """
     rx, ry = Tensor(real_x), Tensor(np.reshape(real_y, (-1, 1)))
-    fx, fy = Tensor(fake_x), Tensor(np.reshape(fake_y, (-1, 1)))
+    fx = ad.as_tensor(fake_x)
+    fy = fake_y if isinstance(fake_y, Tensor) else Tensor(np.reshape(fake_y, (-1, 1)))
     if rx.shape[0] != fx.shape[0]:
         raise ContractError(
             f"real and fake batches must match: {rx.shape[0]} vs {fx.shape[0]}")
-    n = rx.shape[0]
-    return ad.scale(ad.add(_residual_sq_sum(model, fx, fy),
-                           _residual_sq_sum(model, rx, ry)), 1.0 / n)
+    fake_term, real_term = (ad.sum_all(ad.square(ad.sub(model.regressor_predict(x), y)))
+                            for x, y in ((fx, fy), (rx, ry)))
+    return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
 def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
@@ -188,7 +181,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     else:
         parts["penalty"] = 0.0
 
-    if config.critic_regression and config.critic_reg_weight != 0.0:
+    if config.critic_reg_weight != 0.0:
         reg = regression_loss(model, real_x, real_y, fake_x, fake_y)
         loss = ad.add(loss, ad.scale(reg, config.critic_reg_weight))
         parts["regression"] = reg.item()
@@ -202,10 +195,6 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
 def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
                    config: GanConfig):
     """Adversarial + regression-consistency generator objective."""
-    noise = np.asarray(noise, dtype=float)
-    real_x = np.asarray(real_x, dtype=float)
-    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
-    n = noise.shape[0]
     d = model.n_features
 
     out = model.generator.forward(Tensor(noise))
@@ -213,13 +202,8 @@ def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
     loss = ad.neg(ad.mean_all(model.critic_score(fx, fy)))
     parts = {"adversarial": loss.item()}
 
-    if config.generator_regression and config.gen_reg_weight != 0.0:
-        if real_x.shape[0] != n:
-            raise ContractError(
-                f"real batch of {real_x.shape[0]} rows for {n} noise rows")
-        fake_term = _residual_sq_sum(model, fx, fy)
-        real_term = _residual_sq_sum(model, Tensor(real_x), Tensor(real_y))
-        reg = ad.scale(ad.add(fake_term, real_term), 1.0 / n)
+    if config.gen_reg_weight != 0.0:
+        reg = regression_loss(model, real_x, real_y, fx, fy)
         loss = ad.add(loss, ad.scale(reg, config.gen_reg_weight))
         parts["regression"] = reg.item()
     else:
@@ -260,7 +244,7 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
         return []
     lr = config.pretrain_lr if config.pretrain_lr is not None else config.learning_rate
     params = model.regressor_trunk.params() + model.regressor_head.params()
-    opt = Adam(params, lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    opt = Adam(params, lr)
     xt = Tensor(train.features)
     yt = Tensor(train.labels.reshape(-1, 1))
     history = []
@@ -292,10 +276,8 @@ def train(train_ds: TabularDataset, config: GanConfig, seed: int,
     y = train_ds.labels.reshape(-1, 1)
     m, d = x.shape
     critic_params = model.critic_step_params()
-    adam_c = Adam(critic_params, config.learning_rate, config.adam_beta1,
-                  config.adam_beta2, config.adam_epsilon)
-    adam_g = Adam(model.generator_params(), config.learning_rate,
-                  config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    adam_c = Adam(critic_params, config.learning_rate)
+    adam_g = Adam(model.generator_params(), config.learning_rate)
 
     for it in range(config.iterations):
         parts = {}
@@ -350,7 +332,7 @@ def generate(model: RganModel, n: int, seed: int) -> TabularDataset:
 # -------------------------------------------------------------- checkpoints
 
 _MAGIC = b"SAUGCKPT"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _layer_blocks(model: RganModel):

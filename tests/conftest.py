@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from softaug import SeededRng
+from softaug.layers import SLOPE
 
 
 def central_difference(loss_fn, params, step=1e-5):
@@ -52,7 +53,7 @@ def leaky_margin(net, x, margin=1e-4):
         if act == "leaky-relu" and np.min(np.abs(pre)) < margin:
             return False
         if act == "leaky-relu":
-            h = np.where(pre > 0.0, pre, net.slope * pre)
+            h = np.where(pre > 0.0, pre, SLOPE * pre)
         elif act == "sigmoid":
             h = 1.0 / (1.0 + np.exp(-pre))
         else:

@@ -22,6 +22,7 @@ from softaug import autodiff as ad
 from softaug.active import LabelBudget, init_select, kmeans, run_active_selection
 from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
+from softaug.layers import SLOPE
 from softaug.quality import diversity_score, mmd2
 from softaug.regress import KernelRidgeRegressor, RegressorSpec
 from softaug.rgan import critic_regressor_loss, generator_loss
@@ -126,7 +127,7 @@ def test_criterion_01_loss_gradients_match_finite_differences():
 
 def _independent_wgan_loss(model, real_x, real_y, fake_x, fake_y, mu, beta):
     """Plain-numpy critic loss: score means, interpolates, penalty."""
-    s = model.config.slope
+    s = SLOPE
     d = model.n_features
     width = model.config.trunk_width
     ((tw, tb),) = model.critic_trunk.layers

@@ -4,7 +4,7 @@ import pytest
 
 from softaug import ContractError, SeededRng, ShapeError, Tensor, init_mlp
 from softaug import autodiff as ad
-from softaug.layers import Mlp
+from softaug.layers import SLOPE, Mlp
 
 
 def _manual_forward(net, x):
@@ -14,7 +14,7 @@ def _manual_forward(net, x):
         pre = h @ w.value + b.value
         act = net.out_activation if li == len(net.layers) - 1 else "leaky-relu"
         if act == "leaky-relu":
-            h = np.where(pre > 0.0, pre, net.slope * pre)
+            h = np.where(pre > 0.0, pre, SLOPE * pre)
         elif act == "sigmoid":
             h = 1.0 / (1.0 + np.exp(-pre))
         else:
@@ -23,7 +23,7 @@ def _manual_forward(net, x):
 
 
 def test_identity_single_layer_leaky_relu():
-    net = Mlp([(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))], slope=0.01)
+    net = Mlp([(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))])
     out = net.forward_values(np.array([[1.0, -1.0]]))
     assert np.array_equal(out, np.array([[1.0, -0.01]]))
 

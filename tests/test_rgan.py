@@ -11,6 +11,7 @@ from softaug import (GanConfig, RganModel, SeededRng, generate,
 from softaug import autodiff as ad
 from softaug.data import TabularDataset
 from softaug.errors import ConfigError, ContractError, DivergenceError
+from softaug.layers import SLOPE
 from softaug.optim import Adam
 from softaug.rgan import (critic_regressor_loss, generator_loss,
                           pretrain_regressor, regression_loss)
@@ -56,12 +57,12 @@ def test_config_validation():
 
 
 def test_wgan_gp_mode_flips_exactly_the_three_mode_flags():
-    cfg = _tiny(gp_weight=0.7)
+    cfg = _tiny(gp_weight=0.7, gen_reg_weight=2.0, critic_reg_weight=0.5)
     wgan = cfg.wgan_gp_mode()
     assert not wgan.share_trunk
-    assert not wgan.generator_regression and not wgan.critic_regression
-    assert replace(wgan, share_trunk=True, generator_regression=True,
-                   critic_regression=True) == cfg
+    assert wgan.gen_reg_weight == 0.0 and wgan.critic_reg_weight == 0.0
+    assert replace(wgan, share_trunk=True, gen_reg_weight=2.0,
+                   critic_reg_weight=0.5) == cfg
 
 
 def test_model_initialization_is_mode_fair():
@@ -113,7 +114,7 @@ def test_linear_critic_penalty_hand_case():
     # gradient is (3, 4) with norm 5 on every row, so the mean penalty is
     # (5 - 1)^2 = 16 and the loss is 0 + (beta/n) * 16n = 8 with beta 0.5
     cfg = _tiny(trunk_width=4, critic_hidden=4, gp_weight=0.5,
-                critic_regression=False)
+                critic_reg_weight=0.0)
     model = RganModel(1, cfg, SeededRng(0))
     _zero_net(model.critic_trunk)
     _zero_net(model.critic_head)
@@ -158,7 +159,7 @@ def test_critic_loss_batch_contracts():
 
 def _hand_wgan_loss(model, real_x, real_y, fake_x, fake_y, mu, beta):
     """Plain-numpy critic loss: score means, interpolates, penalty."""
-    s = model.config.slope
+    s = SLOPE
     d = model.n_features
     width = model.config.trunk_width
     ((tw, tb),) = model.critic_trunk.layers
@@ -202,7 +203,7 @@ def test_critic_loss_in_baseline_mode_matches_hand_coded_wgan_gp():
 
 
 def test_generator_loss_without_regression_is_pure_adversarial():
-    cfg = _tiny(generator_regression=False)
+    cfg = _tiny(gen_reg_weight=0.0)
     model = RganModel(2, cfg, SeededRng(8))
     z = gaussian_noise(6, cfg.noise_dim, SeededRng(1))
     rx, ry, _, _, _ = _batch(6, 2, seed=5)
