@@ -124,6 +124,8 @@ def _load_checkpoint(path) -> tuple[RganModel, dict, NormalizationSpec | None]:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count: row count must be >= 0, got {args.count}")
     model, _, normalizer = _load_checkpoint(args.checkpoint)
     seed = args.seed if args.seed is not None else 0
     batch = generate_candidates(model, args.count, seed, 1)[0]

@@ -31,7 +31,8 @@ from .data import (NormalizationSpec, SplitSpec, TabularDataset,
 from .errors import BudgetError, ConfigError, ContractError
 from .quality import BatchQuality, select_best_batch
 from .regress import Metrics, RegressorSpec, check_bandwidth, evaluate, fit
-from .rgan import GanConfig, RganModel, TrainTrace, generate, save_checkpoint, train
+from .rgan import (GanConfig, RganModel, TrainTrace, check_finite, generate,
+                   save_checkpoint, train)
 from .rng import SeededRng, derive_seed
 
 # --------------------------------------------------------------- the config
@@ -78,12 +79,14 @@ class ExperimentConfig:
         for name in ("dataset_n", "test_count", "train_count", "candidate_batches", "ds_folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not self.noise_sd >= 0:        # also rejects NaN
-            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
-        if self.generated_count < 0:
-            raise ConfigError("generated_count must be >= 0")
-        if self.initial_count < 0:
-            raise ConfigError("initial_count must be >= 0")
+        for name in ("generated_count", "initial_count", "mlp_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if any(h < 1 for h in self.mlp_hidden):
+            raise ConfigError(f"mlp_hidden sizes must be >= 1, got {self.mlp_hidden}")
+        check_finite("noise_sd", self.noise_sd)
+        check_finite("ridge", self.ridge)
+        check_finite("mlp_learning_rate", self.mlp_learning_rate, positive=True)
         for m in self.models:
             if m not in ("kernel-ridge", "mlp"):
                 raise ConfigError(f"unknown downstream model {m!r}")

@@ -38,6 +38,13 @@ from .optim import Adam
 from .rng import SeededRng, gaussian_noise
 
 
+def check_finite(name: str, value: float, positive: bool = False) -> None:
+    """A ConfigError naming `name` unless `value` is finite and >= 0 (> 0 if `positive`)."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ConfigError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class GanConfig:
     noise_dim: int = 8
@@ -57,19 +64,20 @@ class GanConfig:
     regressor_hidden: int = 8
 
     def __post_init__(self):
-        if self.noise_dim < 1:
-            raise ConfigError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        if self.n_critic < 1:
-            raise ConfigError(f"n_critic must be >= 1, got {self.n_critic}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 0 or self.pretrain_epochs < 0:
-            raise ConfigError("iteration counts must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("gp_weight", "gen_reg_weight", "critic_reg_weight"):
+        for name in ("noise_dim", "n_critic", "batch_size", "trunk_width",
+                     "critic_hidden", "regressor_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(h < 1 for h in self.gen_hidden):
+            raise ConfigError(f"gen_hidden sizes must be >= 1, got {self.gen_hidden}")
+        for name in ("iterations", "pretrain_epochs"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_finite("learning_rate", self.learning_rate, positive=True)
+        if self.pretrain_lr is not None:
+            check_finite("pretrain_lr", self.pretrain_lr, positive=True)
+        for name in ("gp_weight", "gen_reg_weight", "critic_reg_weight"):
+            check_finite(name, getattr(self, name))
 
     def wgan_gp_mode(self) -> "GanConfig":
         """The plain WGAN-GP baseline: no sharing, no regression terms."""

@@ -122,19 +122,29 @@ def test_config_roundtrips_through_ini():
 
 
 def test_config_validation():
-    for bad in ({"source": "excel"},
-                {"source": "csv"},                # path missing
-                {"test_count": 0},
-                {"models": ("forest",)},
-                {"bandwidth": "-2"},
-                {"bandwidth": "0"},
-                {"bandwidth": "nan"},
-                {"bandwidth": "inf"},
-                {"bandwidth": "wide"},
-                {"generated_count": -1},
-                {"dataset_n": 0},
-                {"noise_sd": -1.0}):
-        with pytest.raises(ConfigError):
+    nan, inf = float("nan"), float("inf")
+    # (overrides, fragment the error names)
+    for bad, fragment in (({"source": "excel"}, "excel"),
+                          ({"source": "csv"}, "dataset.path"),
+                          ({"test_count": 0}, "test_count"),
+                          ({"models": ("forest",)}, "forest"),
+                          ({"bandwidth": "-2"}, "bandwidth"),
+                          ({"bandwidth": "0"}, "bandwidth"),
+                          ({"bandwidth": "nan"}, "bandwidth"),
+                          ({"bandwidth": "inf"}, "bandwidth"),
+                          ({"bandwidth": "wide"}, "bandwidth"),
+                          ({"generated_count": -1}, "generated_count"),
+                          ({"dataset_n": 0}, "dataset_n"),
+                          ({"noise_sd": -1.0}, "noise_sd"),
+                          ({"noise_sd": nan}, "noise_sd"),
+                          ({"noise_sd": inf}, "noise_sd"),
+                          ({"ridge": nan}, "ridge"),
+                          ({"ridge": -1.0}, "ridge"),
+                          ({"mlp_learning_rate": 0.0}, "mlp_learning_rate"),
+                          ({"mlp_learning_rate": nan}, "mlp_learning_rate"),
+                          ({"mlp_hidden": (16, 0)}, "mlp_hidden"),
+                          ({"mlp_epochs": -1}, "mlp_epochs")):
+        with pytest.raises(ConfigError, match=fragment):
             ExperimentConfig(**bad)
 
 
@@ -403,6 +413,11 @@ def test_cli_select_train_generate_score(tmp_path):
     assert main(["generate", "--checkpoint", str(ckpt), "--count", "7",
                  "--seed", "3", "--out", str(gen)]) == 0
     assert load_csv(gen / "generated.csv", "y").n_rows == 7
+    empty = tmp_path / "gen0"
+    assert main(["generate", "--checkpoint", str(ckpt), "--count", "0",
+                 "--out", str(empty)]) == 0
+    assert (empty / "generated.csv").read_text().splitlines() == [
+        "# provenance=generated rows=0", "x1,x2,y"]
 
     sc = tmp_path / "sc"
     assert main(["score", "--config", ini, "--checkpoint", str(ckpt),
@@ -486,6 +501,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         source="csv", csv_path=str(tmp_path / "absent.csv"))))
     no_pool = ini_file("no_pool.ini", config_to_ini(_lean(test_count=80)))
     ini = ini_file("lean.ini", config_to_ini(_lean()))
+    neg_width = ini_file("neg_width.ini", "[gan]\ncritic_hidden = -1\n")
+    nan_weight = ini_file("nan_weight.ini", "[gan]\ngp_weight = nan\n")
+    nan_ridge = ini_file("nan_ridge.ini", "[downstream]\nridge = nan\n")
     ckpt = tmp_path / "trn" / "checkpoint.bin"
     assert main(["train", "--config", ini, "--out", str(ckpt.parent)]) == 0
     model, extra = load_checkpoint(ckpt)
@@ -507,6 +525,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (["pipeline", "--config", bad], None, 2, "unknown config section [nope]"),
         (["pipeline", "--config", str(tmp_path / "absent.ini")], None, 2,
          "cannot read config"),
+        (["pipeline", "--config", neg_width], None, 2, "critic_hidden must be >= 1, got -1"),
+        (["pipeline", "--config", nan_weight], None, 2, "gp_weight must be finite"),
+        (["pipeline", "--config", nan_ridge], None, 2, "ridge must be finite"),
         (["select", "--config", missing_csv], None, 3, "absent.csv"),
         (["select", "--config", no_pool], None, 3, "leaves a pool of 0"),
         (["score", "--config", ini, "--checkpoint", str(ckpt), "--seed", "5"], None, 2,
@@ -517,6 +538,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
          "truncated.bin: malformed checkpoint header"),
         (["generate", "--checkpoint", str(tmp_path / "absent.bin"), "--count", "3"], None, 1,
          "absent.bin: cannot read checkpoint"),
+        (["generate", "--checkpoint", str(ckpt), "--count", "-3"], None, 2,
+         "--count: row count must be >= 0, got -3"),
         (["generate", "--checkpoint", str(renamed), "--count", "3"], None, 1,
          "renamed.bin: malformed normalizer (KeyError"),
         (["score", "--config", ini, "--checkpoint", str(renamed)], None, 1,

@@ -48,11 +48,18 @@ def _zero_net(net):
 # ------------------------------------------------------------- configuration
 
 def test_config_validation():
+    nan, inf = float("nan"), float("inf")
     for bad in (dict(noise_dim=0), dict(n_critic=0), dict(batch_size=0),
                 dict(iterations=-1), dict(pretrain_epochs=-1),
                 dict(learning_rate=0.0), dict(gp_weight=-0.1),
-                dict(gen_reg_weight=-1.0), dict(critic_reg_weight=-0.5)):
-        with pytest.raises(ConfigError):
+                dict(gen_reg_weight=-1.0), dict(critic_reg_weight=-0.5),
+                dict(trunk_width=0), dict(critic_hidden=-1), dict(regressor_hidden=0),
+                dict(gen_hidden=(8, 0)), dict(learning_rate=nan),
+                dict(learning_rate=inf), dict(pretrain_lr=0.0), dict(pretrain_lr=nan),
+                dict(gp_weight=nan), dict(gen_reg_weight=inf),
+                dict(critic_reg_weight=nan)):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=name):
             _tiny(**bad)
 
 
