@@ -22,6 +22,7 @@ penalty.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, asdict, replace
@@ -341,6 +342,11 @@ def generate(model: RganModel, n: int, seed: int) -> TabularDataset:
 
 _MAGIC = b"SAUGCKPT"
 _FORMAT_VERSION = 2
+_DIGEST_SIZE = 32
+
+
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
 
 
 def _layer_blocks(model: RganModel):
@@ -353,7 +359,8 @@ def _layer_blocks(model: RganModel):
 
 
 def save_checkpoint(model: RganModel, path, extra: dict | None = None) -> None:
-    """Binary checkpoint: magic, version, JSON header, float64 LE blocks.
+    """Binary checkpoint: magic, version, JSON header, float64 LE blocks,
+    then a 32-byte blake2b digest of everything before it.
 
     Blocks follow the documented order generator, critic trunk, critic
     head, (regressor trunk when unshared), regressor head; within a
@@ -372,18 +379,21 @@ def save_checkpoint(model: RganModel, path, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with path.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, net in _layer_blocks(model):
-            for w, b in net.layers:
-                fh.write(np.ascontiguousarray(w.value, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b.value, dtype="<f8").tobytes())
+    parts = [_MAGIC, struct.pack("<II", _FORMAT_VERSION, len(blob)), blob]
+    for _, net in _layer_blocks(model):
+        for w, b in net.layers:
+            parts.append(np.ascontiguousarray(w.value, dtype="<f8").tobytes())
+            parts.append(np.ascontiguousarray(b.value, dtype="<f8").tobytes())
+    body = b"".join(parts)
+    path.write_bytes(body + _digest(body))
 
 
 def load_checkpoint(path) -> tuple[RganModel, dict]:
-    """Rebuild a model; any unreadable or malformed file is a ContractError."""
+    """Rebuild a model; any unreadable, malformed or corrupted file is a ContractError.
+
+    The sizes are checked before the digest, so a short file reads as
+    truncated and a long one as having trailing bytes.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -420,9 +430,14 @@ def load_checkpoint(path) -> tuple[RganModel, dict]:
                 block = np.frombuffer(raw[offset:end], dtype="<f8")
                 tensor.value = block.reshape(tensor.value.shape).astype(np.float64)
                 offset = end
-    if offset != len(raw):
+    digest_at = len(raw) - _DIGEST_SIZE
+    if offset > digest_at:
+        raise ContractError(f"{path}: truncated checkpoint digest")
+    if offset < digest_at:
         raise ContractError(
-            f"{path}: {len(raw) - offset} trailing bytes; dimensions do not match")
+            f"{path}: {digest_at - offset} trailing bytes; dimensions do not match")
+    if raw[digest_at:] != _digest(raw[:digest_at]):
+        raise ContractError(f"{path}: digest mismatch; the checkpoint is corrupted")
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise ContractError(f"{path}: malformed checkpoint header (extra is not an object)")

@@ -1,4 +1,6 @@
-"""Shared test helpers: finite differences and kink-safe toy models."""
+"""Shared test helpers: finite differences, kink-safe toy models, checkpoints."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ def leaky_margin(net, x, margin=1e-4):
         else:
             h = pre
     return True
+
+
+def resign_checkpoint(data: bytes) -> bytes:
+    """`data` with its trailing 32-byte blake2b digest recomputed.
+
+    A test that edits a checkpoint's header on purpose re-signs it, so the
+    load reaches the header check under test instead of the digest check.
+    """
+    body = data[:-32]
+    return body + hashlib.blake2b(body, digest_size=32).digest()
 
 
 def kink_safe_seed(check, start, limit=50):

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import resign_checkpoint
+
 from softaug import (ExperimentConfig, GanConfig, config_to_ini,
                      load_checkpoint, parse_config, run_ablation, run_pipeline,
                      save_checkpoint, sweep_amount, sweep_hyper, time_variants)
@@ -453,8 +455,9 @@ def test_cli_pipeline_writes_report(tmp_path):
 
 
 def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
-    # a plain seeded loop of single-bit flips inside the JSON header: each
-    # file loads with a normalizer that fits the model, or is a ContractError
+    # a plain seeded loop of single-bit flips inside the JSON header, each
+    # re-signed so the digest passes: each file loads with a normalizer that
+    # fits the model, or is a ContractError
     from softaug.cli import _load_checkpoint
     from softaug.data import NormalizationSpec
 
@@ -476,7 +479,7 @@ def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
     for pos, bit in zip(rng.integers(start, end, 1000), rng.integers(0, 8, 1000)):
         flipped = bytearray(raw)
         flipped[pos] ^= 1 << bit
-        bad.write_bytes(bytes(flipped))
+        bad.write_bytes(resign_checkpoint(bytes(flipped)))
         try:
             _, _, got = _load_checkpoint(bad)
         except ContractError as err:
@@ -513,7 +516,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     truncated.write_bytes(ckpt.read_bytes()[:40])
     # a renamed normalizer key keeps the header valid JSON of the same length
     renamed = tmp_path / "renamed.bin"
-    renamed.write_bytes(ckpt.read_bytes().replace(b'"feature_lo"', b'"feature_mo"'))
+    renamed.write_bytes(resign_checkpoint(
+        ckpt.read_bytes().replace(b'"feature_lo"', b'"feature_mo"')))
 
     def raising(err):
         def run(*a, **k):

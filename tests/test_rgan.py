@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, max_relative_error, resign_checkpoint
 
 from softaug import (GanConfig, RganModel, SeededRng, generate,
                      load_checkpoint, save_checkpoint, train)
@@ -456,6 +456,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(ContractError, match="format version"):
         load_checkpoint(bad_version)
 
+    version_one = tmp_path / "v1.bin"
+    version_one.write_bytes(raw[:8] + bytes([1]) + raw[9:])
+    with pytest.raises(ContractError, match="format version 1, expected 2"):
+        load_checkpoint(version_one)
+
+    flipped = tmp_path / "flipped.bin"
+    flipped.write_bytes(raw[:-40] + bytes([raw[-40] ^ 1]) + raw[-39:])
+    with pytest.raises(ContractError, match="digest mismatch"):
+        load_checkpoint(flipped)
+
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ContractError, match="truncated"):
@@ -467,7 +477,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(padded)
 
     not_object = tmp_path / "extra.bin"
-    not_object.write_bytes(raw.replace(b'"extra": {}', b'"extra": 70'))
+    not_object.write_bytes(resign_checkpoint(raw.replace(b'"extra": {}', b'"extra": 70')))
     with pytest.raises(ContractError, match="extra is not an object"):
         load_checkpoint(not_object)
 
@@ -498,4 +508,4 @@ def test_checkpoint_truncations_and_bit_flips_only_raise_contract_errors(tmp_pat
         else:
             outcomes["loaded"] += 1
     assert outcomes["rejected"] >= len(raw)
-    assert outcomes["loaded"] > 0
+    assert outcomes["loaded"] == 0
