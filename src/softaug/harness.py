@@ -305,6 +305,7 @@ class RunManifest:
     report_header: list[str] = field(default_factory=list)
     report: list[list] = field(default_factory=list)
     error: dict | None = None
+    failures: list[dict] = field(default_factory=list)     # failed sweep arms
     toolkit_version: str = __version__
 
     def to_json(self) -> str:
@@ -591,13 +592,14 @@ def _variant_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return replace(cfg, gan=gan, **top_over)
 
 
-def _arm_rows(cfg: ExperimentConfig, arms) -> list[tuple]:
+def _arm_rows(cfg: ExperimentConfig, arms, manifest: RunManifest) -> list[tuple]:
     """Run (key, callable) arms in order; one report row per model of each arm.
 
     `key` is the tuple of an arm's leading report columns and the callable
     returns metrics keyed (model, condition); rows read the augmented
     condition. An arm that raises anything gives one row with its status
-    and NaN errors, and never aborts the others.
+    and NaN errors, and never aborts the others; its key, exception type
+    and message go to `manifest.failures`.
     """
     rows = []
     for key, fn in arms:
@@ -606,6 +608,8 @@ def _arm_rows(cfg: ExperimentConfig, arms) -> list[tuple]:
         except Exception as err:
             rows.append((*key, "-", float("nan"), float("nan"),
                          f"failed:{type(err).__name__}"))
+            manifest.failures.append({"key": list(key), "type": type(err).__name__,
+                                      "message": str(err)})
             continue
         for kind in cfg.models:
             m = metrics[(kind, "augmented")]
@@ -623,7 +627,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> li
         arms.append(((label,), lambda c=arm_cfg, o=arm_out, t=label:
                      run_pipeline(c, o, seed_tag=t).metrics))
     with run_record(cfg, out) as manifest:
-        rows = _arm_rows(cfg, arms)
+        rows = _arm_rows(cfg, arms, manifest)
         _report(manifest, out, ABLATE_HEADER, rows)
     return rows
 
@@ -648,7 +652,7 @@ def sweep_amount(cfg: ExperimentConfig, amounts=SWEEP_AMOUNTS,
                                   batches[best], conditions=("augmented",))
 
         rows = _arm_rows(cfg, [((int(a),), lambda a=int(a): amount_metrics(a))
-                               for a in amounts])
+                               for a in amounts], manifest)
         _report(manifest, out, AMOUNT_HEADER, rows)
     return rows
 
@@ -668,7 +672,7 @@ def sweep_hyper(cfg: ExperimentConfig, parameters=SWEEP_PARAMETERS,
             arms.append(((pname, float(value)), lambda c=arm_cfg, o=arm_out:
                          run_pipeline(c, o).metrics))
     with run_record(cfg, out) as manifest:
-        rows = _arm_rows(cfg, arms)
+        rows = _arm_rows(cfg, arms, manifest)
         _report(manifest, out, HYPER_HEADER, rows)
     return rows
 

@@ -275,14 +275,19 @@ def test_run_arms_isolates_toolkit_failures():
         return np.linalg.solve(np.zeros((2, 2)), np.ones(2))
 
     metrics = {("kernel-ridge", "augmented"): Metrics(0.25, 0.5)}
+    manifest = RunManifest(seed=0, seed_tag="", config_ini="")
     rows = _arm_rows(_lean(), [(("good",), lambda: metrics), (("bad",), boom),
-                               (("linalg",), singular), (("after",), lambda: metrics)])
+                               (("linalg",), singular), (("after",), lambda: metrics)],
+                     manifest)
     assert rows[0] == ("good", "kernel-ridge", 0.25, 0.5, "ok")
     assert rows[3] == ("after", "kernel-ridge", 0.25, 0.5, "ok")
     for row, key, status in ((rows[1], "bad", "failed:ContractError"),
                              (rows[2], "linalg", "failed:LinAlgError")):
         assert (row[0], row[1], row[4]) == (key, "-", status)
         assert np.isnan(row[2]) and np.isnan(row[3])
+    assert manifest.failures == [
+        {"key": ["bad"], "type": "ContractError", "message": "broken arm"},
+        {"key": ["linalg"], "type": "LinAlgError", "message": "Singular matrix"}]
 
 
 def _assert_sweep_record(out, cfg, header, rows):
@@ -326,7 +331,7 @@ def test_sweep_amount_zero_reproduces_the_real_only_baseline(tmp_path):
     _assert_sweep_record(tmp_path, cfg, AMOUNT_HEADER, rows)
 
 
-def test_sweep_amount_isolates_a_failed_amount(monkeypatch):
+def test_sweep_amount_isolates_a_failed_amount(monkeypatch, tmp_path):
     import softaug.harness as harness
     real_generate = harness.generate
 
@@ -336,11 +341,14 @@ def test_sweep_amount_isolates_a_failed_amount(monkeypatch):
         return real_generate(model, n, seed)
 
     monkeypatch.setattr(harness, "generate", generate_failing_at_12)
-    rows = sweep_amount(_lean(), amounts=(0, 12, 18))
+    rows = sweep_amount(_lean(), amounts=(0, 12, 18), out_dir=tmp_path)
     assert [(r[0], r[1], r[4]) for r in rows] == [
         (0, "kernel-ridge", "ok"), (12, "-", "failed:LinAlgError"),
         (18, "kernel-ridge", "ok")]
     assert np.isnan(rows[1][2]) and np.isnan(rows[1][3])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"key": [12], "type": "LinAlgError", "message": "singular matrix"}]
 
 
 def test_sweep_amount_reports_denormalized_metrics_like_the_pipeline():
