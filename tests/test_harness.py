@@ -1,6 +1,6 @@
 """Harness and CLI: config parsing, pipeline artifacts, sweeps, exit codes."""
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from softaug.cli import main
 from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
-                             HYPER_HEADER, RunManifest, _arm_rows, generate,
+                             HYPER_HEADER, _SCHEMA, RunManifest, _arm_rows, generate,
                              rank_candidates, write_csv)
 from softaug.quality import mmd2
 from softaug.regress import Metrics
@@ -121,6 +121,16 @@ def test_config_roundtrips_through_ini():
     assert parse_config(config_to_ini(cfg)) == cfg
     # None pretrain_lr serializes to empty and parses back to None
     assert parse_config(config_to_ini(ExperimentConfig())) == ExperimentConfig()
+
+
+def test_ini_schema_and_config_fields_match_one_to_one():
+    targets = [target for keys in _SCHEMA.values() for _, target in keys.values()]
+    fields_ = [f.name for f in fields(ExperimentConfig) if f.name != "gan"]
+    fields_ += [f"gan.{f.name}" for f in fields(GanConfig)]
+    assert sorted(targets) == sorted(fields_)
+    assert len(set(targets)) == len(targets)
+    assert all(t.startswith("gan.") for _, t in _SCHEMA["gan"].values())
+    assert len(_SCHEMA["gan"]) == len(fields(GanConfig)) == 15
 
 
 def test_config_validation():
