@@ -18,7 +18,7 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict
 from pathlib import Path
 
 import numpy as np
@@ -133,60 +133,30 @@ def _str_tuple(text: str, where: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-# section -> key -> (parser, config attribute path)
+# field annotation -> parser of its INI text; an empty optional float is None
+_PARSERS = {
+    "str": lambda text, where: text.strip(),
+    "int": _int,
+    "float": _float,
+    "bool": _bool,
+    "tuple[int, ...]": _int_tuple,
+    "tuple[str, ...]": _str_tuple,
+    "float | None": lambda text, where: _float(text, where) if text.strip() else None,
+}
+
+# section -> key -> field of GanConfig ([gan]) or ExperimentConfig (the rest)
 _SCHEMA = {
-    "dataset": {
-        "source": (str.strip, "source"),
-        "name": (str.strip, "dataset_name"),
-        "n": (_int, "dataset_n"),
-        "noise_sd": (_float, "noise_sd"),
-        "path": (str.strip, "csv_path"),
-        "label_column": (str.strip, "label_column"),
-    },
-    "split": {
-        "test_count": (_int, "test_count"),
-        "train_count": (_int, "train_count"),
-    },
-    "active": {
-        "enabled": (_bool, "active_enabled"),
-        "initial_count": (_int, "initial_count"),
-    },
-    "gan": {
-        "noise_dim": (_int, "gan.noise_dim"),
-        "n_critic": (_int, "gan.n_critic"),
-        "gp_weight": (_float, "gan.gp_weight"),
-        "gen_reg_weight": (_float, "gan.gen_reg_weight"),
-        "critic_reg_weight": (_float, "gan.critic_reg_weight"),
-        "learning_rate": (_float, "gan.learning_rate"),
-        "batch_size": (_int, "gan.batch_size"),
-        "iterations": (_int, "gan.iterations"),
-        "pretrain_epochs": (_int, "gan.pretrain_epochs"),
-        "pretrain_lr": (_float, "gan.pretrain_lr"),
-        "share_trunk": (_bool, "gan.share_trunk"),
-        "trunk_width": (_int, "gan.trunk_width"),
-        "gen_hidden": (_int_tuple, "gan.gen_hidden"),
-        "critic_hidden": (_int, "gan.critic_hidden"),
-        "regressor_hidden": (_int, "gan.regressor_hidden"),
-    },
-    "quality": {
-        "candidate_batches": (_int, "candidate_batches"),
-        "generated_count": (_int, "generated_count"),
-        "bandwidth": (str.strip, "bandwidth"),
-        "ds_folds": (_int, "ds_folds"),
-        "select_best": (_bool, "select_best"),
-    },
-    "downstream": {
-        "models": (_str_tuple, "models"),
-        "mlp_epochs": (_int, "mlp_epochs"),
-        "mlp_learning_rate": (_float, "mlp_learning_rate"),
-        "mlp_hidden": (_int_tuple, "mlp_hidden"),
-        "ridge": (_float, "ridge"),
-        "metrics_denormalized": (_bool, "metrics_denormalized"),
-    },
-    "run": {
-        "seed": (_int, "seed"),
-        "out_dir": (str.strip, "out_dir"),
-    },
+    "dataset": {"source": "source", "name": "dataset_name", "n": "dataset_n",
+                "noise_sd": "noise_sd", "path": "csv_path",
+                "label_column": "label_column"},
+    "split": {"test_count": "test_count", "train_count": "train_count"},
+    "active": {"enabled": "active_enabled", "initial_count": "initial_count"},
+    "gan": {f.name: f.name for f in fields(GanConfig)},
+    "quality": {k: k for k in ("candidate_batches", "generated_count", "bandwidth",
+                               "ds_folds", "select_best")},
+    "downstream": {k: k for k in ("models", "mlp_epochs", "mlp_learning_rate",
+                                  "mlp_hidden", "ridge", "metrics_denormalized")},
+    "run": {"seed": "seed", "out_dir": "out_dir"},
 }
 
 
@@ -204,27 +174,20 @@ def parse_config(path_or_text) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse config: {err}") from None
-    plain: dict[str, object] = {}
-    gan_kwargs: dict[str, object] = {}
+    kwargs: dict[type, dict[str, object]] = {GanConfig: {}, ExperimentConfig: {}}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
+        cls = GanConfig if section == "gan" else ExperimentConfig
+        annotations = {f.name: f.type for f in fields(cls)}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            conv, target = _SCHEMA[section][key]
-            where = f"[{section}] {key}"
-            if raw.strip() == "" and target == "gan.pretrain_lr":
-                value = None
-            else:
-                value = conv(raw, where) if conv in (_bool, _int, _float, _int_tuple, _str_tuple) else conv(raw)
-            if target.startswith("gan."):
-                gan_kwargs[target[4:]] = value
-            else:
-                plain[target] = value
+            name = _SCHEMA[section][key]
+            kwargs[cls][name] = _PARSERS[annotations[name]](raw, f"[{section}] {key}")
     try:
-        gan = GanConfig(**gan_kwargs)
-        return ExperimentConfig(gan=gan, **plain)
+        gan = GanConfig(**kwargs[GanConfig])
+        return ExperimentConfig(gan=gan, **kwargs[ExperimentConfig])
     except TypeError as err:
         raise ConfigError(str(err)) from None
 
@@ -244,13 +207,10 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
+        source = cfg.gan if section == "gan" else cfg
         out.write(f"[{section}]\n")
-        for key, (_, target) in keys.items():
-            if target.startswith("gan."):
-                value = getattr(cfg.gan, target[4:])
-            else:
-                value = getattr(cfg, target)
-            out.write(f"{key} = {fmt(value)}\n")
+        for key, name in keys.items():
+            out.write(f"{key} = {fmt(getattr(source, name))}\n")
         out.write("\n")
     return out.getvalue()
 

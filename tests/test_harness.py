@@ -14,7 +14,7 @@ from softaug.cli import main
 from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
-                             HYPER_HEADER, _SCHEMA, RunManifest, _arm_rows, generate,
+                             HYPER_HEADER, _PARSERS, _SCHEMA, RunManifest, _arm_rows, generate,
                              rank_candidates, write_csv)
 from softaug.quality import mmd2
 from softaug.regress import Metrics
@@ -123,14 +123,42 @@ def test_config_roundtrips_through_ini():
     assert parse_config(config_to_ini(ExperimentConfig())) == ExperimentConfig()
 
 
+def test_config_with_every_field_changed_roundtrips_through_ini():
+    gan = GanConfig(noise_dim=3, n_critic=2, gp_weight=0.25, gen_reg_weight=2.0,
+                    critic_reg_weight=0.0, learning_rate=3e-3, batch_size=9,
+                    iterations=11, pretrain_epochs=0, pretrain_lr=0.01,
+                    share_trunk=False, trunk_width=5, gen_hidden=(4, 3),
+                    critic_hidden=6, regressor_hidden=2)
+    cfg = ExperimentConfig(
+        source="csv", dataset_name="friedman-like", dataset_n=321, noise_sd=0.3,
+        csv_path="data/plant.csv", label_column="target", test_count=17,
+        train_count=19, active_enabled=False, initial_count=4, gan=gan,
+        candidate_batches=3, generated_count=77, bandwidth="0.7", ds_folds=4,
+        select_best=False, models=("mlp",), mlp_epochs=12, mlp_learning_rate=0.02,
+        mlp_hidden=(5, 6, 7), ridge=0.5, metrics_denormalized=True, seed=99,
+        out_dir="runs/all")
+    # every field holds a valid value other than its default
+    for cls, value, default in ((ExperimentConfig, cfg, ExperimentConfig()),
+                                (GanConfig, gan, GanConfig())):
+        for f in fields(cls):
+            if f.name != "gan":
+                assert getattr(value, f.name) != getattr(default, f.name), f.name
+    assert parse_config(config_to_ini(cfg)) == cfg
+
+
 def test_ini_schema_and_config_fields_match_one_to_one():
-    targets = [target for keys in _SCHEMA.values() for _, target in keys.values()]
-    fields_ = [f.name for f in fields(ExperimentConfig) if f.name != "gan"]
-    fields_ += [f"gan.{f.name}" for f in fields(GanConfig)]
+    targets = [(section == "gan", name) for section, keys in _SCHEMA.items()
+               for name in keys.values()]
+    fields_ = [(False, f.name) for f in fields(ExperimentConfig) if f.name != "gan"]
+    fields_ += [(True, f.name) for f in fields(GanConfig)]
     assert sorted(targets) == sorted(fields_)
     assert len(set(targets)) == len(targets)
-    assert all(t.startswith("gan.") for _, t in _SCHEMA["gan"].values())
     assert len(_SCHEMA["gan"]) == len(fields(GanConfig)) == 15
+    # every field's annotation has a parser, so a field of a new type fails here
+    for cls in (ExperimentConfig, GanConfig):
+        for f in fields(cls):
+            if f.name != "gan":
+                assert f.type in _PARSERS, (cls.__name__, f.name, f.type)
 
 
 def test_config_validation():
