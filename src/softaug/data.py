@@ -81,7 +81,10 @@ class TabularDataset:
 # ------------------------------------------------------------------- loading
 
 def load_csv(path, label_column: str) -> TabularDataset:
-    """Read a real-valued CSV with a header row; one column is the label."""
+    """Read a real-valued CSV with a header row; one column is the label.
+
+    A header with no data rows reads as a 0-row dataset of its columns.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
@@ -118,9 +121,8 @@ def load_csv(path, label_column: str) -> TabularDataset:
             vals.append(v)
         labels.append(vals.pop(label_idx))
         feats.append(vals)
-    if not feats:
-        raise SchemaError(f"{path}: no data rows")
-    return TabularDataset(np.array(feats), np.array(labels), feat_names,
+    return TabularDataset(np.array(feats).reshape(len(feats), len(feat_names)),
+                          np.array(labels), feat_names,
                           label_name=label_column, provenance="real")
 
 

@@ -87,9 +87,17 @@ def test_load_csv_error_cases(tmp_path):
     p.write_text("a,y\n1,inf\n")
     with pytest.raises(ParseError):
         load_csv(p, "y")
-    p.write_text("# comment only\na,y\n")
-    with pytest.raises(SchemaError, match="no.*rows|rows"):
-        load_csv(p, "y")
+
+
+def test_header_only_csv_roundtrips_as_zero_rows(tmp_path):
+    p = tmp_path / "empty.csv"
+    empty = TabularDataset(np.zeros((0, 2)), np.zeros(0), ("a", "b"), label_name="t",
+                           provenance="generated")
+    save_csv(empty, p)
+    assert p.read_text().splitlines() == ["# provenance=generated rows=0", "a,b,t"]
+    back = load_csv(p, "t")
+    assert back.features.shape == (0, 2) and back.labels.shape == (0,)
+    assert back.columns == ("a", "b") and back.label_name == "t"
 
 
 def test_load_csv_skips_comment_lines(tmp_path):

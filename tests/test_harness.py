@@ -14,8 +14,8 @@ from softaug.cli import main
 from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
-                             HYPER_HEADER, _PARSERS, _SCHEMA, RunManifest, _arm_rows, generate,
-                             rank_candidates, write_csv)
+                             HYPER_HEADER, _PARSERS, _SCHEMA, RunManifest, _arm_rows,
+                             generate, rank_candidates, write_csv)
 from softaug.quality import mmd2
 from softaug.regress import Metrics
 from softaug.rgan import RganModel
@@ -466,6 +466,8 @@ def test_cli_select_train_generate_score(tmp_path):
                  "--out", str(empty)]) == 0
     assert (empty / "generated.csv").read_text().splitlines() == [
         "# provenance=generated rows=0", "x1,x2,y"]
+    back = load_csv(empty / "generated.csv", "y")
+    assert back.n_rows == 0 and back.columns == ("x1", "x2")
 
     sc = tmp_path / "sc"
     assert main(["score", "--config", ini, "--checkpoint", str(ckpt),
@@ -553,6 +555,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     neg_width = ini_file("neg_width.ini", "[gan]\ncritic_hidden = -1\n")
     nan_weight = ini_file("nan_weight.ini", "[gan]\ngp_weight = nan\n")
     nan_ridge = ini_file("nan_ridge.ini", "[downstream]\nridge = nan\n")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("x1,x2,y\n")
+    header_only_ini = ini_file("header_only.ini", config_to_ini(ExperimentConfig(
+        source="csv", csv_path=str(header_only))))
     ckpt = tmp_path / "trn" / "checkpoint.bin"
     assert main(["train", "--config", ini, "--out", str(ckpt.parent)]) == 0
     model, extra = load_checkpoint(ckpt)
@@ -580,6 +586,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (["pipeline", "--config", nan_ridge], None, 2, "ridge must be finite"),
         (["select", "--config", missing_csv], None, 3, "absent.csv"),
         (["select", "--config", no_pool], None, 3, "leaves a pool of 0"),
+        (["pipeline", "--config", header_only_ini], None, 3, "dataset of 0 rows"),
         (["score", "--config", ini, "--checkpoint", str(ckpt), "--seed", "5"], None, 2,
          "seed 5 differs from seed 0"),
         (["score", "--config", ini, "--checkpoint", str(seedless)], None, 1,
