@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    SoftaugError, ShapeError, ContractError, CapabilityError, ConfigError,
+    SoftaugError, ShapeError, ContractError, ConfigError,
     DataError, SchemaError, ParseError, BudgetError, CatalogError,
     DegeneracyError, ConditioningError, DivergenceError,
 )

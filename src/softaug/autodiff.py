@@ -13,15 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError, ShapeError
-
-# Ops whose backward rule may itself be recorded and differentiated again.
-# grad(create_graph=True) refuses anything outside this set.
-_SECOND_ORDER_OK = {
-    "leaf", "add", "sub", "mul", "scale", "shift", "matmul", "transpose",
-    "leaky_relu", "sigmoid", "square", "pow_const", "broadcast", "sum_to",
-    "concat_cols", "slice_cols",
-}
+from .errors import ContractError, ShapeError
 
 
 class Tensor:
@@ -56,10 +48,6 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def zeros(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)))
 
@@ -71,45 +59,39 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ---------------------------------------------------------------- primitives
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     return Tensor(a.value + b.value, op="add",
                   parents=((a, lambda g: g), (b, lambda g: g)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     return Tensor(a.value - b.value, op="sub",
                   parents=((a, lambda g: g), (b, lambda g: neg(g))))
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape matrices."""
-    a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "mul")
     return Tensor(a.value * b.value, op="mul",
                   parents=((a, lambda g: mul(g, b)), (b, lambda g: mul(g, a))))
 
 
-def scale(a, c: float) -> Tensor:
-    a, c = as_tensor(a), float(c)
+def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.value * c, op="scale",
                   parents=((a, lambda g: scale(g, c)),))
 
 
-def neg(a) -> Tensor:
+def neg(a: Tensor) -> Tensor:
     return scale(a, -1.0)
 
 
-def shift(a, c: float) -> Tensor:
-    a, c = as_tensor(a), float(c)
+def shift(a: Tensor, c: float) -> Tensor:
     return Tensor(a.value + c, op="shift", parents=((a, lambda g: g),))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape} differ")
     return Tensor(a.value @ b.value, op="matmul", parents=(
@@ -118,22 +100,19 @@ def matmul(a, b) -> Tensor:
     ))
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
+def transpose(a: Tensor) -> Tensor:
     return Tensor(a.value.T, op="transpose", parents=((a, lambda g: transpose(g)),))
 
 
-def leaky_relu(a, slope: float) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     """max(x, slope*x). Backward multiplies by a constant 1/slope mask."""
-    a, slope = as_tensor(a), float(slope)
     mask = np.where(a.value > 0.0, 1.0, slope)
     mask_t = Tensor(mask)
     return Tensor(a.value * mask, op="leaky_relu",
                   parents=((a, lambda g: mul(g, mask_t)),))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(1.0 / (1.0 + np.exp(-a.value)), op="sigmoid")
     # backward g * out * (1 - out); referencing `out` keeps the rule exact
     out.parents = ((a, lambda g: mul(g, mul(out, shift(neg(out), 1.0)))),)
@@ -141,22 +120,19 @@ def sigmoid(a) -> Tensor:
     return out
 
 
-def square(a) -> Tensor:
-    a = as_tensor(a)
+def square(a: Tensor) -> Tensor:
     return Tensor(a.value * a.value, op="square",
                   parents=((a, lambda g: mul(g, scale(a, 2.0))),))
 
 
-def pow_const(a, p: float) -> Tensor:
+def pow_const(a: Tensor, p: float) -> Tensor:
     """a**p elementwise; meant for positive bases (sqrt of sums of squares)."""
-    a, p = as_tensor(a), float(p)
     return Tensor(a.value ** p, op="pow_const",
                   parents=((a, lambda g: scale(mul(g, pow_const(a, p - 1.0)), p)),))
 
 
-def broadcast(a, rows: int, cols: int) -> Tensor:
+def broadcast(a: Tensor, rows: int, cols: int) -> Tensor:
     """Tile a (1,1), (1,k) or (n,1) tensor up to (rows, cols)."""
-    a = as_tensor(a)
     n, k = a.shape
     if (n not in (1, rows)) or (k not in (1, cols)):
         raise ShapeError(f"cannot broadcast {a.shape} to {(rows, cols)}")
@@ -165,9 +141,8 @@ def broadcast(a, rows: int, cols: int) -> Tensor:
                   parents=((a, lambda g: sum_to(g, n, k)),))
 
 
-def sum_to(a, rows: int, cols: int) -> Tensor:
+def sum_to(a: Tensor, rows: int, cols: int) -> Tensor:
     """Sum over the axes being collapsed, down to (rows, cols)."""
-    a = as_tensor(a)
     n, k = a.shape
     if (rows not in (1, n)) or (cols not in (1, k)):
         raise ShapeError(f"cannot sum {a.shape} down to {(rows, cols)}")
@@ -180,8 +155,7 @@ def sum_to(a, rows: int, cols: int) -> Tensor:
                   parents=((a, lambda g: broadcast(g, n, k)),))
 
 
-def concat_cols(parts: Sequence) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ContractError("concat_cols needs at least one part")
     rows = parts[0].shape[0]
@@ -200,8 +174,7 @@ def concat_cols(parts: Sequence) -> Tensor:
                   op="concat_cols", parents=parent_edges)
 
 
-def slice_cols(a, lo: int, hi: int) -> Tensor:
-    a = as_tensor(a)
+def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     n, k = a.shape
     if not (0 <= lo < hi <= k):
         raise ShapeError(f"slice_cols: [{lo}, {hi}) out of range for {a.shape}")
@@ -221,22 +194,20 @@ def slice_cols(a, lo: int, hi: int) -> Tensor:
 
 # ------------------------------------------------------------- derived forms
 
-def sum_all(a) -> Tensor:
+def sum_all(a: Tensor) -> Tensor:
     return sum_to(a, 1, 1)
 
 
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
+def mean_all(a: Tensor) -> Tensor:
     return scale(sum_to(a, 1, 1), 1.0 / a.value.size)
 
 
-def norm_rows(a, eps: float = 1e-24) -> Tensor:
+def norm_rows(a: Tensor, eps: float = 1e-24) -> Tensor:
     """Per-row L2 norm as an (n, 1) tensor.
 
     The tiny eps under the square root keeps the gradient finite at an
     all-zero row; it is far below float64 resolution at any realistic norm.
     """
-    a = as_tensor(a)
     return pow_const(shift(sum_to(square(a), a.shape[0], 1), eps), 0.5)
 
 
@@ -263,21 +234,15 @@ def _walk(root: Tensor) -> list[Tensor]:
 
 # ------------------------------------------------------------------ backward
 
-def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
+def grad(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
     """Gradients of a scalar output with respect to each tensor in `wrt`.
 
-    With create_graph=True the returned tensors stay connected to the graph
-    and can be differentiated again; every op on the path must have a
-    second-order backward rule or a CapabilityError names the offender.
+    The returned tensors stay connected to the graph and can be
+    differentiated again.
     """
     if output.value.size != 1:
         raise ContractError(f"grad needs a scalar output, got shape {output.shape}")
     order = _walk(output)
-    if create_graph:
-        for node in order:
-            if node.op not in _SECOND_ORDER_OK:
-                raise CapabilityError(
-                    f"op {node.op!r} has no second-order backward rule")
     grads: dict[int, Tensor] = {id(output): Tensor(np.ones((1, 1)))}
     for node in reversed(order):
         g = grads.get(id(node))
@@ -298,4 +263,4 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
 
 def grad_values(output: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
     """First-order gradients as plain arrays."""
-    return [g.value for g in grad(output, wrt, create_graph=False)]
+    return [g.value for g in grad(output, wrt)]

@@ -18,10 +18,6 @@ class ContractError(SoftaugError):
     """A precondition of an operation was violated."""
 
 
-class CapabilityError(SoftaugError):
-    """The requested computation is outside what the graph supports."""
-
-
 class ConfigError(SoftaugError):
     """Bad experiment configuration (unknown key, out-of-range value...)."""
 

@@ -1,14 +1,15 @@
-"""Adam with bias correction.
+"""Adam with bias correction, and the full-batch MSE fit built on it.
 
 update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError, ShapeError
 
@@ -50,3 +51,20 @@ class Adam:
             v += (1.0 - BETA2) * (g * g)
             p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
         self.step_count = t
+
+
+def fit_mse(predict: Callable[[Tensor], Tensor], params: Sequence[Tensor],
+            x: np.ndarray, y: np.ndarray, epochs: int,
+            learning_rate: float) -> list[float]:
+    """Full-batch Adam on the mean squared error of `predict(x)` against `y`.
+
+    One update per epoch, over `params`; returns the MSE before each update.
+    """
+    opt = Adam(params, learning_rate)
+    xt, yt = Tensor(x), Tensor(y)
+    history = []
+    for _ in range(epochs):
+        loss = ad.mean_all(ad.square(ad.sub(predict(xt), yt)))
+        history.append(loss.item())
+        opt.step(ad.grad_values(loss, params))
+    return history

@@ -73,8 +73,8 @@ def mmd2(a: ArrayLike, b: ArrayLike, bandwidth: Bandwidth = "median") -> float:
 RegressorFactory = Callable[[np.ndarray, np.ndarray], object]
 
 
-def default_regressor_factory(spec: RegressorSpec | None = None) -> RegressorFactory:
-    spec = spec or RegressorSpec(kind="kernel-ridge")
+def default_regressor_factory() -> RegressorFactory:
+    spec = RegressorSpec(kind="kernel-ridge")
 
     def factory(x: np.ndarray, y: np.ndarray):
         return make_regressor(spec).fit(x, y)

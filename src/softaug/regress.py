@@ -11,12 +11,10 @@ from typing import Union
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .data import TabularDataset
 from .errors import ConditioningError, ContractError
 from .layers import init_mlp
-from .optim import Adam
+from .optim import fit_mse
 from .rng import SeededRng
 
 Bandwidth = Union[str, float]
@@ -143,11 +141,7 @@ class MlpRegressor:
             raise ContractError("cannot fit on an empty dataset")
         dims = [x.shape[1], *self.spec.hidden, 1]
         net = init_mlp(dims, SeededRng(self.spec.seed), out_activation="linear")
-        opt = Adam(net.params(), learning_rate=self.spec.learning_rate)
-        xt, yt = Tensor(x), Tensor(y)
-        for _ in range(self.spec.epochs):
-            loss = ad.mean_all(ad.square(ad.sub(net.forward(xt), yt)))
-            opt.step(ad.grad_values(loss, net.params()))
+        fit_mse(net.forward, net.params(), x, y, self.spec.epochs, self.spec.learning_rate)
         self._net = net
         return self
 

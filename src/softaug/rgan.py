@@ -35,7 +35,7 @@ from .autodiff import Tensor
 from .data import TabularDataset
 from .errors import ConfigError, ContractError, DivergenceError, SoftaugError
 from .layers import init_mlp
-from .optim import Adam
+from .optim import Adam, fit_mse
 from .rng import SeededRng, gaussian_noise
 
 
@@ -143,19 +143,19 @@ class RganModel:
 
 # ------------------------------------------------------------------- losses
 
-def regression_loss(model: RganModel, real_x, real_y, fake_x, fake_y) -> Tensor:
+def regression_loss(model: RganModel, real_x, real_y, fake_x: Tensor,
+                    fake_y: Tensor) -> Tensor:
     """Mean joint residual over a real and a fake batch of equal size.
 
-    The fake rows may be graph nodes, as in the generator's update.
+    The fake rows are graph nodes: the batch the critic scores, or the
+    generator's output in its update. `fake_y` is a column.
     """
     rx, ry = Tensor(real_x), Tensor(np.reshape(real_y, (-1, 1)))
-    fx = ad.as_tensor(fake_x)
-    fy = fake_y if isinstance(fake_y, Tensor) else Tensor(np.reshape(fake_y, (-1, 1)))
-    if rx.shape[0] != fx.shape[0]:
+    if rx.shape[0] != fake_x.shape[0]:
         raise ContractError(
-            f"real and fake batches must match: {rx.shape[0]} vs {fx.shape[0]}")
+            f"real and fake batches must match: {rx.shape[0]} vs {fake_x.shape[0]}")
     fake_term, real_term = (ad.sum_all(ad.square(ad.sub(model.regressor_predict(x), y)))
-                            for x, y in ((fx, fy), (rx, ry)))
+                            for x, y in ((fake_x, fake_y), (rx, ry)))
     return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
@@ -173,7 +173,8 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     d = model.n_features
 
     d_real = ad.mean_all(model.critic_score(Tensor(real_x), Tensor(real_y)))
-    d_fake = ad.mean_all(model.critic_score(Tensor(fake_x), Tensor(fake_y)))
+    fake_xt, fake_yt = Tensor(fake_x), Tensor(fake_y)
+    d_fake = ad.mean_all(model.critic_score(fake_xt, fake_yt))
     loss = ad.sub(d_fake, d_real)
     parts = {"wasserstein": d_real.item() - d_fake.item()}
 
@@ -183,7 +184,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
         interp = mu * joint_real + (1.0 - mu) * joint_fake
         jt = Tensor(interp, requires_grad=True)
         score = model.critic_score(ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
-        g = ad.grad(ad.sum_all(score), [jt], create_graph=True)[0]
+        g = ad.grad(ad.sum_all(score), [jt])[0]
         pen = ad.sum_all(ad.square(ad.shift(ad.norm_rows(g), -1.0)))
         loss = ad.add(loss, ad.scale(pen, config.gp_weight / n))
         parts["penalty"] = pen.item() / n
@@ -191,7 +192,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
         parts["penalty"] = 0.0
 
     if config.critic_reg_weight != 0.0:
-        reg = regression_loss(model, real_x, real_y, fake_x, fake_y)
+        reg = regression_loss(model, real_x, real_y, fake_xt, fake_yt)
         loss = ad.add(loss, ad.scale(reg, config.critic_reg_weight))
         parts["regression"] = reg.item()
     else:
@@ -249,23 +250,15 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
     Returns the per-epoch MSE history (value before each update). Runs in
     every mode; in unshared mode it touches only the regressor's own trunk.
     """
-    if config.pretrain_epochs == 0:
-        return []
     lr = config.pretrain_lr if config.pretrain_lr is not None else config.learning_rate
-    params = model.regressor_trunk.params() + model.regressor_head.params()
-    opt = Adam(params, lr)
-    xt = Tensor(train.features)
-    yt = Tensor(train.labels.reshape(-1, 1))
-    history = []
-    for _ in range(config.pretrain_epochs):
-        loss = ad.mean_all(ad.square(ad.sub(model.regressor_predict(xt), yt)))
-        history.append(loss.item())
-        opt.step(ad.grad_values(loss, params))
-    return history
+    return fit_mse(model.regressor_predict,
+                   model.regressor_trunk.params() + model.regressor_head.params(),
+                   train.features, train.labels.reshape(-1, 1),
+                   config.pretrain_epochs, lr)
 
 
-def train(train_ds: TabularDataset, config: GanConfig, seed: int,
-          model: RganModel | None = None) -> tuple[RganModel, TrainTrace]:
+def train(train_ds: TabularDataset, config: GanConfig,
+          seed: int) -> tuple[RganModel, TrainTrace]:
     """Adversarial training: n_critic critic updates per generator update.
 
     The stream consumption order per iteration is fixed (real indices,
@@ -275,9 +268,8 @@ def train(train_ds: TabularDataset, config: GanConfig, seed: int,
     if train_ds.n_rows < 1:
         raise ContractError("training needs a non-empty dataset")
     rng = SeededRng(seed)
-    if model is None:
-        model = RganModel(train_ds.n_features, config, rng,
-                          columns=train_ds.columns, label_name=train_ds.label_name)
+    model = RganModel(train_ds.n_features, config, rng,
+                      columns=train_ds.columns, label_name=train_ds.label_name)
     trace = TrainTrace.empty()
     trace.pretrain_mse = pretrain_regressor(model, train_ds, config)
 

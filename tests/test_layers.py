@@ -63,10 +63,10 @@ def test_grad_wrt_input_requires_grad_flag():
     # network; any other input reads zero
     net = init_mlp([2, 4, 1], SeededRng(5))
     x_plain = Tensor(np.ones((3, 2)))
-    (g_plain,) = ad.grad(ad.sum_all(net.forward(x_plain)), [x_plain], create_graph=True)
+    (g_plain,) = ad.grad(ad.sum_all(net.forward(x_plain)), [x_plain])
     assert np.array_equal(g_plain.value, np.zeros((3, 2)))
     x = Tensor(np.ones((3, 2)), requires_grad=True)
-    (g,) = ad.grad(ad.sum_all(net.forward(x)), [x], create_graph=True)
+    (g,) = ad.grad(ad.sum_all(net.forward(x)), [x])
     assert g.shape == (3, 2) and g.requires_grad
     assert np.any(g.value != 0.0)
 

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from softaug import Adam, ContractError, DivergenceError, ShapeError, Tensor
+from softaug import autodiff as ad
+from softaug.optim import fit_mse
 
 
 def test_first_step_closed_form():
@@ -80,3 +82,24 @@ def test_moments_update_only_on_step():
     first = p.value.copy()
     opt.step([np.array([[-0.5]])])
     assert not np.array_equal(p.value, first)
+
+
+def test_fit_mse_records_the_loss_before_each_adam_step():
+    # predict = x @ w with one weight: MSE gradient 2 * mean((w x - y) x)
+    x = np.array([[1.0], [2.0], [-1.0]])
+    y = np.array([[0.5], [3.0], [0.0]])
+    w = Tensor(np.array([[0.25]]), requires_grad=True)
+    lr, w0 = 1e-2, 0.25
+
+    def predict(xt):
+        return ad.matmul(xt, w)
+
+    assert fit_mse(predict, [w], x, y, 0, lr) == []
+    assert w.value[0, 0] == w0
+    history = fit_mse(predict, [w], x, y, 2, lr)
+    assert len(history) == 2
+    assert abs(history[0] - np.mean((w0 * x - y) ** 2)) < 1e-15
+    # first Adam step from zero moments moves by lr * g / (|g| + eps)
+    g = 2.0 * np.mean((w0 * x - y) * x)
+    w1 = w0 - lr * g / (abs(g) + 1e-8)
+    assert abs(history[1] - np.mean((w1 * x - y) ** 2)) < 1e-14

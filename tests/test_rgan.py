@@ -6,7 +6,7 @@ import pytest
 
 from conftest import central_difference, max_relative_error, resign_checkpoint
 
-from softaug import (GanConfig, RganModel, SeededRng, generate,
+from softaug import (GanConfig, RganModel, SeededRng, Tensor, generate,
                      load_checkpoint, save_checkpoint, train)
 from softaug import autodiff as ad
 from softaug.data import TabularDataset
@@ -95,7 +95,7 @@ def test_model_rejects_zero_features():
 def test_regression_loss_matches_value_oracle():
     model = RganModel(2, _tiny(), SeededRng(3))
     rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
-    got = regression_loss(model, rx, ry, fx, fy).item()
+    got = regression_loss(model, rx, ry, Tensor(fx), Tensor(fy.reshape(-1, 1))).item()
     fake_res = model.regressor_predict_values(fx) - fy
     real_res = model.regressor_predict_values(rx) - ry
     want = (np.sum(fake_res ** 2) + np.sum(real_res ** 2)) / 6
@@ -106,7 +106,7 @@ def test_regression_loss_requires_equal_batches():
     model = RganModel(2, _tiny(), SeededRng(3))
     rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
     with pytest.raises(ContractError):
-        regression_loss(model, rx[:4], ry[:4], fx, fy)
+        regression_loss(model, rx[:4], ry[:4], Tensor(fx), Tensor(fy.reshape(-1, 1)))
 
 
 def test_wasserstein_part_is_zero_for_identical_batches():
