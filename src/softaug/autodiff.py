@@ -2,10 +2,15 @@
 
 Every value is a 2-D array held by a `Tensor` node in an implicit DAG.
 The backward rule of each primitive is written in terms of the primitives
-themselves, so a recorded gradient is itself a differentiable graph; that
-is what the critic's gradient-norm penalty needs (gradient of a gradient).
-The one deliberate shortcut: the leaky-relu backward treats its slope mask
-as a constant, whose derivative is zero almost everywhere.
+themselves, so a recorded gradient is itself a differentiable graph, as
+the reference form of the critic's gradient-norm penalty needs (gradient
+of a gradient). The one deliberate shortcut: the leaky-relu backward
+treats its slope mask as a constant, whose derivative is zero almost
+everywhere.
+
+Training differentiates a graph only in the generator step. The critic
+step, pretraining and the downstream MLP repeat these rules by hand in
+plain numpy (`layers.Mlp.backward`, `rgan.critic_regressor_loss`).
 """
 from __future__ import annotations
 

@@ -162,7 +162,9 @@ _SCHEMA = {
 
 def parse_config(path_or_text) -> ExperimentConfig:
     """Read an INI-style config; every key must be known (fail-fast)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so a [DEFAULT] header is an
+    # ordinary (unknown) section rather than keys merged into every other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     if "\n" in str(path_or_text):
         text = path_or_text
     else:

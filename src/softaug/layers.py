@@ -1,8 +1,10 @@
-"""Dense multilayer perceptrons over the autodiff graph.
+"""Dense multilayer perceptrons, recorded on the autodiff graph or in plain numpy.
 
 A network is a list of (weight, bias) tensor pairs plus an activation
 policy: leaky-relu after every layer by default, with an optional linear
-or sigmoid final layer for score heads and bounded generators.
+or sigmoid final layer for score heads and bounded generators. The
+plain-numpy forward can keep a tape for the hand-derived backward, which
+repeats the graph's operations so its gradients are bit-identical.
 """
 from __future__ import annotations
 
@@ -54,8 +56,12 @@ class Mlp:
                 h = z
         return h
 
-    def forward_values(self, x: np.ndarray) -> np.ndarray:
-        """Plain-numpy forward, bit-identical to the recorded pass."""
+    def forward_values(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """Plain-numpy forward, bit-identical to the recorded pass.
+
+        With a `tape` list, appends each layer's (input, leaky mask) for
+        `backward`; the mask is None for a linear layer.
+        """
         h = np.asarray(x, dtype=np.float64)
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
@@ -64,12 +70,38 @@ class Mlp:
                     f"layer {i}: input has {h.shape[1]} columns, weight expects {w.shape[0]}")
             z = h @ w.value + np.broadcast_to(b.value, (h.shape[0], w.shape[1]))
             if i < last or self.out_activation == "leaky-relu":
-                h = z * np.where(z > 0.0, 1.0, SLOPE)
+                mask = np.where(z > 0.0, 1.0, SLOPE)
+                if tape is not None:
+                    tape.append((h, mask))
+                h = z * mask
             elif self.out_activation == "sigmoid":
+                if tape is not None:
+                    raise ContractError("backward covers leaky-relu and linear layers only")
                 h = 1.0 / (1.0 + np.exp(-z))
             else:
+                if tape is not None:
+                    tape.append((h, None))
                 h = z
         return h
+
+    def backward(self, tape: list, g: np.ndarray,
+                 need_input: bool = False) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Gradients of the `params()` order from `g`, the gradient at the output.
+
+        Repeats the recorded pass's backward operation by operation, so the
+        results are bit-identical to `autodiff.grad`. Also returns the
+        gradient at the input when `need_input`, else None.
+        """
+        grads = [None] * (2 * len(self.layers))
+        for i in reversed(range(len(self.layers))):
+            h, mask = tape[i]
+            if mask is not None:
+                g = g * mask
+            grads[2 * i] = h.T @ g
+            grads[2 * i + 1] = g.sum(axis=0, keepdims=True) if g.shape[0] != 1 else g
+            if i > 0 or need_input:
+                g = g @ self.layers[i][0].value.T
+        return grads, g if need_input else None
 
     def copy(self) -> "Mlp":
         layers = [(Tensor(w.value.copy(), requires_grad=True),

@@ -5,13 +5,13 @@ update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError, ShapeError
+from .layers import Mlp
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -19,52 +19,92 @@ EPSILON = 1e-8
 
 
 class Adam:
-    """Holds first/second moments for a fixed parameter list; steps in place."""
+    """Holds first/second moments for a fixed parameter list; steps in place.
+
+    Taking over the parameters moves their values into one contiguous
+    vector: each tensor's `value` becomes a view into it, so one
+    vectorized update steps them all. A later optimizer may take over the
+    same tensors; the earlier one then refuses to step.
+    """
 
     def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-4):
         if not params:
             raise ContractError("Adam needs at least one parameter tensor")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam got the same parameter tensor twice")
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._values = np.concatenate([p.value.ravel() for p in self.params])
+        self._grads = np.empty_like(self._values)
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
+        self._views, self._grad_views = [], []
+        lo = 0
+        for p in self.params:
+            hi = lo + p.value.size
+            p.value = self._values[lo:hi].reshape(p.value.shape)
+            self._views.append(p.value)
+            self._grad_views.append(self._grads[lo:hi].reshape(p.value.shape))
+            lo = hi
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ContractError(
                 f"got {len(grads)} gradients for {len(self.params)} parameters")
-        for g, p in zip(grads, self.params):
+        for g, p, view, buf in zip(grads, self.params, self._views, self._grad_views):
             if g.shape != p.value.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter {p.value.shape}")
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(
-                    f"non-finite gradient at optimizer step {self.step_count + 1}")
+            if p.value is not view:
+                raise ContractError("a parameter was rebound after this optimizer took it over")
+            buf[...] = g
+        g = self._grads
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(
+                f"non-finite gradient at optimizer step {self.step_count + 1}")
         t = self.step_count + 1
         c1 = 1.0 - BETA1 ** t
         c2 = 1.0 - BETA2 ** t
-        for g, p, m, v in zip(grads, self.params, self._m, self._v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
+        m, v = self._m, self._v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        self._values -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
         self.step_count = t
 
 
-def fit_mse(predict: Callable[[Tensor], Tensor], params: Sequence[Tensor],
-            x: np.ndarray, y: np.ndarray, epochs: int,
+def fit_mse(nets: Sequence[Mlp], x: np.ndarray, y: np.ndarray, epochs: int,
             learning_rate: float) -> list[float]:
-    """Full-batch Adam on the mean squared error of `predict(x)` against `y`.
+    """Full-batch Adam on the mean squared error of the chain `nets` on x against y.
 
-    One update per epoch, over `params`; returns the MSE before each update.
+    The chain feeds each net's output to the next. One update per epoch,
+    over every net's parameters; returns the MSE before each update. The
+    forward and backward repeat the recorded graph's operations, so the
+    fit is bit-identical to differentiating it.
     """
-    opt = Adam(params, learning_rate)
-    xt, yt = Tensor(x), Tensor(y)
+    opt = Adam([p for net in nets for p in net.params()], learning_rate)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    scale = 1.0 / y.size
+    seed = np.ones((1, 1)) * scale          # d loss / d sum, as the graph's seed
     history = []
     for _ in range(epochs):
-        loss = ad.mean_all(ad.square(ad.sub(predict(xt), yt)))
-        history.append(loss.item())
-        opt.step(ad.grad_values(loss, params))
+        tapes = [[] for _ in nets]
+        h = x
+        for net, tape in zip(nets, tapes):
+            h = net.forward_values(h, tape)
+        if h.shape != y.shape:
+            raise ShapeError(f"fit_mse: predictions {h.shape} and targets {y.shape} differ")
+        r = h - y
+        sq = r * r
+        total = sq.sum(axis=0, keepdims=True) if sq.shape[0] != 1 else sq
+        history.append(float((total * scale)[0, 0]))
+        g = np.broadcast_to(seed, r.shape) * (r * 2.0)
+        grads = []
+        for i in reversed(range(len(nets))):
+            net_grads, g = nets[i].backward(tapes[i], g, need_input=i > 0)
+            grads[:0] = net_grads
+        opt.step(grads)
     return history

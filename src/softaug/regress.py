@@ -141,7 +141,7 @@ class MlpRegressor:
             raise ContractError("cannot fit on an empty dataset")
         dims = [x.shape[1], *self.spec.hidden, 1]
         net = init_mlp(dims, SeededRng(self.spec.seed), out_activation="linear")
-        fit_mse(net.forward, net.params(), x, y, self.spec.epochs, self.spec.learning_rate)
+        fit_mse([net], x, y, self.spec.epochs, self.spec.learning_rate)
         self._net = net
         return self
 

@@ -159,9 +159,71 @@ def regression_loss(model: RganModel, real_x, real_y, fake_x: Tensor,
     return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
+def _sum_rows(s: np.ndarray) -> np.ndarray:
+    """The graph's `sum_all` of an (n, 1) column, as a (1, 1) array."""
+    return s.sum(axis=0, keepdims=True) if s.shape[0] != 1 else s
+
+
+def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
+    """Sum over rows of (|d score / d interp| - 1)^2, and its weight gradients.
+
+    `seed` is the (1, 1) gradient at the sum. The input gradient is a
+    chain of matmuls with the transposed weights and the leaky masks,
+    which are constants, so the gradient reaches only the critic's weight
+    matrices: one `(left.T @ G).T` per layer, trunk layers first, where
+    `left` is the matrix that layer's input-gradient matmul took.
+    """
+    n, d = interp.shape[0], model.n_features
+    trunk_tape, head_tape = [], []
+    h = model.critic_trunk.forward_values(interp[:, 0:d], trunk_tape)
+    model.critic_head.forward_values(np.concatenate([h, interp[:, d:d + 1]], axis=1),
+                                     head_tape)
+    weights = [w.value for w, _ in model.critic_trunk.layers + model.critic_head.layers]
+    masks = [mask for _, mask in trunk_tape + head_tape]
+    first_head, width = len(trunk_tape), h.shape[1]
+
+    lefts = [None] * len(weights)
+    g = np.broadcast_to(np.ones((1, 1)), (n, 1))
+    for i in reversed(range(len(weights))):
+        if masks[i] is not None:
+            g = g * masks[i]
+        lefts[i] = g
+        g = g @ weights[i].T
+        if i == first_head:
+            g_y, g = g[:, width:width + 1], g[:, 0:width]
+    g = (np.concatenate([g, np.zeros((n, 1))], axis=1)
+         + np.concatenate([np.zeros((n, d)), g_y], axis=1))
+    sq_norm = (g * g).sum(axis=1, keepdims=True) + 1e-24
+    excess = sq_norm ** 0.5 + -1.0
+    total = _sum_rows(excess * excess)
+
+    gg = np.broadcast_to(seed, (n, 1)) * (excess * 2.0)
+    gg = np.broadcast_to((gg * (sq_norm ** -0.5)) * 0.5, (n, d + 1)) * (g * 2.0)
+    pieces = []
+    G = gg[:, 0:d]
+    for i in range(len(weights)):
+        if i == first_head:
+            G = (np.concatenate([np.zeros((n, width)), gg[:, d:d + 1]], axis=1)
+                 + np.concatenate([G, np.zeros((n, 1))], axis=1))
+        pieces.append((lefts[i].T @ G).T)
+        if i + 1 < len(weights):
+            G = G @ weights[i]
+            if masks[i] is not None:
+                G = G * masks[i]
+    return total, pieces
+
+
 def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
                           mu: np.ndarray, config: GanConfig):
-    """Joint critic(+regressor) objective; returns (loss node, float parts)."""
+    """Joint critic(+regressor) objective: (gradients, float parts).
+
+    The gradients follow `critic_step_params()`. They are derived by hand
+    and repeat the backward pass of the recorded objective operation by
+    operation (tests/ keep that graph as the oracle), so they are
+    bit-identical to it. Each parameter sums its pieces left to right in
+    the order fake score, real score, penalty, regression on fake rows,
+    regression on real rows.
+    """
     real_x = np.asarray(real_x, dtype=float)
     real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
     fake_x = np.asarray(fake_x, dtype=float)
@@ -170,36 +232,65 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     n = real_x.shape[0]
     if fake_x.shape[0] != n or mu.shape[0] != n:
         raise ContractError("real, fake and mu must have the same row count")
-    d = model.n_features
+    trunk, head = model.critic_trunk, model.critic_head
+    params = model.critic_step_params()
+    grads = [None] * len(params)
 
-    d_real = ad.mean_all(model.critic_score(Tensor(real_x), Tensor(real_y)))
-    fake_xt, fake_yt = Tensor(fake_x), Tensor(fake_y)
-    d_fake = ad.mean_all(model.critic_score(fake_xt, fake_yt))
-    loss = ad.sub(d_fake, d_real)
-    parts = {"wasserstein": d_real.item() - d_fake.item()}
+    def add(start, pieces, stride=1):
+        for i, piece in zip(range(start, len(params), stride), pieces):
+            grads[i] = piece if grads[i] is None else grads[i] + piece
+
+    seed = np.ones((1, 1))
+    n_trunk = len(trunk.params())
+    features, means = {}, {}
+    for name, x, y, sign in (("fake", fake_x, fake_y, seed),
+                             ("real", real_x, real_y, seed * -1.0)):
+        trunk_tape, head_tape = [], []
+        h = trunk.forward_values(x, trunk_tape)
+        score = head.forward_values(np.concatenate([h, y], axis=1), head_tape)
+        means[name] = _sum_rows(score) * (1.0 / n)
+        features[name] = h, trunk_tape
+        head_grads, g = head.backward(head_tape, np.broadcast_to(sign * (1.0 / n), (n, 1)),
+                                      need_input=True)
+        add(0, trunk.backward(trunk_tape, g[:, 0:h.shape[1]])[0])
+        add(n_trunk, head_grads)
+    loss = means["fake"] - means["real"]
+    parts = {"wasserstein": float(means["real"][0, 0]) - float(means["fake"][0, 0])}
 
     if config.gp_weight != 0.0:
-        joint_real = np.hstack([real_x, real_y])
-        joint_fake = np.hstack([fake_x, fake_y])
-        interp = mu * joint_real + (1.0 - mu) * joint_fake
-        jt = Tensor(interp, requires_grad=True)
-        score = model.critic_score(ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
-        g = ad.grad(ad.sum_all(score), [jt])[0]
-        pen = ad.sum_all(ad.square(ad.shift(ad.norm_rows(g), -1.0)))
-        loss = ad.add(loss, ad.scale(pen, config.gp_weight / n))
-        parts["penalty"] = pen.item() / n
+        interp = mu * np.hstack([real_x, real_y]) + (1.0 - mu) * np.hstack([fake_x, fake_y])
+        pen, pieces = _penalty(model, interp, seed * (config.gp_weight / n))
+        loss = loss + pen * (config.gp_weight / n)
+        parts["penalty"] = float(pen[0, 0]) / n
+        add(0, pieces, stride=2)
     else:
         parts["penalty"] = 0.0
 
     if config.critic_reg_weight != 0.0:
-        reg = regression_loss(model, real_x, real_y, fake_xt, fake_yt)
-        loss = ad.add(loss, ad.scale(reg, config.critic_reg_weight))
-        parts["regression"] = reg.item()
+        shared = model.config.share_trunk
+        residuals = []
+        for name, x, y in (("fake", fake_x, fake_y), ("real", real_x, real_y)):
+            h, trunk_tape = features[name] if shared else (
+                model.regressor_trunk.forward_values(x), None)
+            head_tape = []
+            residuals.append((model.regressor_head.forward_values(h, head_tape) - y,
+                              head_tape, trunk_tape))
+        (r_fake, *_), (r_real, *_) = residuals
+        reg = (_sum_rows(r_fake * r_fake) + _sum_rows(r_real * r_real)) * (1.0 / n)
+        loss = loss + reg * config.critic_reg_weight
+        parts["regression"] = float(reg[0, 0])
+        if shared:
+            g_sum = (seed * config.critic_reg_weight) * (1.0 / n)
+            for r, head_tape, trunk_tape in residuals:
+                head_grads, g = model.regressor_head.backward(
+                    head_tape, np.broadcast_to(g_sum, (n, 1)) * (r * 2.0), need_input=True)
+                add(0, trunk.backward(trunk_tape, g)[0])
+                add(n_trunk + len(head.params()), head_grads)
     else:
         parts["regression"] = float("nan")
 
-    parts["loss"] = loss.item()
-    return loss, parts
+    parts["loss"] = float(loss[0, 0])
+    return [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)], parts
 
 
 def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
@@ -251,8 +342,7 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
     every mode; in unshared mode it touches only the regressor's own trunk.
     """
     lr = config.pretrain_lr if config.pretrain_lr is not None else config.learning_rate
-    return fit_mse(model.regressor_predict,
-                   model.regressor_trunk.params() + model.regressor_head.params(),
+    return fit_mse([model.regressor_trunk, model.regressor_head],
                    train.features, train.labels.reshape(-1, 1),
                    config.pretrain_epochs, lr)
 
@@ -276,8 +366,7 @@ def train(train_ds: TabularDataset, config: GanConfig,
     x = train_ds.features
     y = train_ds.labels.reshape(-1, 1)
     m, d = x.shape
-    critic_params = model.critic_step_params()
-    adam_c = Adam(critic_params, config.learning_rate)
+    adam_c = Adam(model.critic_step_params(), config.learning_rate)
     adam_g = Adam(model.generator_params(), config.learning_rate)
 
     for it in range(config.iterations):
@@ -288,12 +377,12 @@ def train(train_ds: TabularDataset, config: GanConfig,
                 z = gaussian_noise(config.batch_size, config.noise_dim, rng)
                 fake = model.generator.forward_values(z)
                 mu = rng.uniform(config.batch_size, 1)
-                loss, parts = critic_regressor_loss(
+                grads, parts = critic_regressor_loss(
                     model, x[idx], y[idx], fake[:, :d], fake[:, d:], mu, config)
                 if not np.isfinite(parts["loss"]):
                     raise DivergenceError(
                         f"non-finite critic loss at iteration {it}", trace=trace)
-                adam_c.step(ad.grad_values(loss, critic_params))
+                adam_c.step(grads)
             z = gaussian_noise(config.batch_size, config.noise_dim, rng)
             idx = rng.integers(0, m, config.batch_size)
             gloss, gparts = generator_loss(model, z, x[idx], y[idx], config)

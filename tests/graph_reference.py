@@ -1,0 +1,99 @@
+"""Recorded-graph reference forms of the hand-derived training paths.
+
+The critic objective and the MSE fit below build an autodiff graph and
+differentiate it. The program computes the same gradients by hand; the
+tests hold them to these references bit for bit.
+"""
+import numpy as np
+
+from softaug import autodiff as ad
+from softaug.autodiff import Tensor
+from softaug.errors import ContractError
+from softaug.rgan import regression_loss
+
+
+def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
+    """Joint critic(+regressor) objective; returns (loss node, float parts)."""
+    real_x = np.asarray(real_x, dtype=float)
+    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
+    fake_x = np.asarray(fake_x, dtype=float)
+    fake_y = np.reshape(np.asarray(fake_y, dtype=float), (-1, 1))
+    mu = np.reshape(np.asarray(mu, dtype=float), (-1, 1))
+    n = real_x.shape[0]
+    if fake_x.shape[0] != n or mu.shape[0] != n:
+        raise ContractError("real, fake and mu must have the same row count")
+    d = model.n_features
+
+    d_real = ad.mean_all(model.critic_score(Tensor(real_x), Tensor(real_y)))
+    fake_xt, fake_yt = Tensor(fake_x), Tensor(fake_y)
+    d_fake = ad.mean_all(model.critic_score(fake_xt, fake_yt))
+    loss = ad.sub(d_fake, d_real)
+    parts = {"wasserstein": d_real.item() - d_fake.item()}
+
+    if config.gp_weight != 0.0:
+        joint_real = np.hstack([real_x, real_y])
+        joint_fake = np.hstack([fake_x, fake_y])
+        interp = mu * joint_real + (1.0 - mu) * joint_fake
+        jt = Tensor(interp, requires_grad=True)
+        score = model.critic_score(ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
+        g = ad.grad(ad.sum_all(score), [jt])[0]
+        pen = ad.sum_all(ad.square(ad.shift(ad.norm_rows(g), -1.0)))
+        loss = ad.add(loss, ad.scale(pen, config.gp_weight / n))
+        parts["penalty"] = pen.item() / n
+    else:
+        parts["penalty"] = 0.0
+
+    if config.critic_reg_weight != 0.0:
+        reg = regression_loss(model, real_x, real_y, fake_xt, fake_yt)
+        loss = ad.add(loss, ad.scale(reg, config.critic_reg_weight))
+        parts["regression"] = reg.item()
+    else:
+        parts["regression"] = float("nan")
+
+    parts["loss"] = loss.item()
+    return loss, parts
+
+
+def critic_gradients(model, real_x, real_y, fake_x, fake_y, mu, config):
+    """(gradients of `critic_step_params()`, parts) from the recorded graph."""
+    loss, parts = critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config)
+    return ad.grad_values(loss, model.critic_step_params()), parts
+
+
+class TensorAdam:
+    """Adam stepping each tensor on its own, as a reference for the flat one."""
+
+    def __init__(self, params, learning_rate):
+        self.params = list(params)
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self, grads):
+        t = self.step_count + 1
+        c1 = 1.0 - 0.9 ** t
+        c2 = 1.0 - 0.999 ** t
+        for g, p, m, v in zip(grads, self.params, self._m, self._v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * (g * g)
+            p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        self.step_count = t
+
+
+def fit_mse(nets, x, y, epochs, learning_rate):
+    """Full-batch fit of the chain `nets` by differentiating the recorded MSE."""
+    params = [p for net in nets for p in net.params()]
+    opt = TensorAdam(params, learning_rate)
+    xt, yt = Tensor(x), Tensor(y)
+    history = []
+    for _ in range(epochs):
+        h = xt
+        for net in nets:
+            h = net.forward(h)
+        loss = ad.mean_all(ad.square(ad.sub(h, yt)))
+        history.append(loss.item())
+        opt.step(ad.grad_values(loss, params))
+    return history

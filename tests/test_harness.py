@@ -106,6 +106,21 @@ def test_parse_rejects_unknown_names_and_bad_values():
         parse_config("just some words\nwithout structure\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[run]\nout_dir = x\n",
+    "[DEFAULT]\nseed = 3\n[split]\ntest_count = 100\n",
+    "[DEFAULT]\n[run]\nseed = 3\n",
+], ids=["alone", "next-to-run", "next-to-split", "empty"])
+def test_parse_rejects_a_default_section(text, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        parse_config(text)
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+
+
 def test_parse_reads_a_file_path(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nseed = 9\n")

@@ -58,6 +58,28 @@ def test_grad_wrt_params_shapes_match():
         assert np.all(np.isfinite(g))
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+def test_backward_equals_the_graph_gradients(rows):
+    net = init_mlp([3, 6, 4, 1], SeededRng(12), out_activation="linear")
+    x = Tensor(SeededRng(13).normal(rows, 3), requires_grad=True)
+    out = net.forward(x)
+    want = ad.grad(ad.sum_all(ad.square(out)), net.params() + [x])
+    tape = []
+    y = net.forward_values(x.value, tape)
+    assert np.array_equal(y, out.value) and len(tape) == 3
+    grads, g_in = net.backward(tape, y * 2.0, need_input=True)
+    for got, ref in zip(grads + [g_in], want):
+        assert np.array_equal(got, ref.value)
+    assert net.backward(tape, y * 2.0)[1] is None
+
+
+def test_tape_refuses_a_sigmoid_output():
+    net = init_mlp([2, 3], SeededRng(1), out_activation="sigmoid")
+    assert net.forward_values(np.ones((2, 2))).shape == (2, 3)
+    with pytest.raises(ContractError, match="leaky-relu and linear"):
+        net.forward_values(np.ones((2, 2)), tape=[])
+
+
 def test_grad_wrt_input_requires_grad_flag():
     # only an input made with requires_grad=True gets a gradient through the
     # network; any other input reads zero

@@ -1,9 +1,10 @@
-"""Adam: closed-form steps, fixed points, and divergence detection."""
+"""Adam: closed-form steps, fixed points, divergence detection, flat views, fit_mse."""
 import numpy as np
 import pytest
 
-from softaug import Adam, ContractError, DivergenceError, ShapeError, Tensor
-from softaug import autodiff as ad
+import graph_reference
+from softaug import (Adam, ContractError, DivergenceError, Mlp, SeededRng, ShapeError,
+                     Tensor, init_mlp)
 from softaug.optim import fit_mse
 
 
@@ -85,21 +86,111 @@ def test_moments_update_only_on_step():
 
 
 def test_fit_mse_records_the_loss_before_each_adam_step():
-    # predict = x @ w with one weight: MSE gradient 2 * mean((w x - y) x)
+    # a one-layer linear MLP, predict = w x + b: the MSE gradients are
+    # 2 * mean(r x) for w and 2 * mean(r) for b, with r = w x + b - y
     x = np.array([[1.0], [2.0], [-1.0]])
     y = np.array([[0.5], [3.0], [0.0]])
-    w = Tensor(np.array([[0.25]]), requires_grad=True)
-    lr, w0 = 1e-2, 0.25
+    w0, b0, lr = 0.25, 0.1, 1e-2
+    net = Mlp([(Tensor(np.array([[w0]]), requires_grad=True),
+                Tensor(np.array([[b0]]), requires_grad=True))], out_activation="linear")
 
-    def predict(xt):
-        return ad.matmul(xt, w)
-
-    assert fit_mse(predict, [w], x, y, 0, lr) == []
-    assert w.value[0, 0] == w0
-    history = fit_mse(predict, [w], x, y, 2, lr)
+    assert fit_mse([net], x, y, 0, lr) == []
+    assert net.layers[0][0].value[0, 0] == w0
+    history = fit_mse([net], x, y, 2, lr)
     assert len(history) == 2
-    assert abs(history[0] - np.mean((w0 * x - y) ** 2)) < 1e-15
-    # first Adam step from zero moments moves by lr * g / (|g| + eps)
-    g = 2.0 * np.mean((w0 * x - y) * x)
-    w1 = w0 - lr * g / (abs(g) + 1e-8)
-    assert abs(history[1] - np.mean((w1 * x - y) ** 2)) < 1e-14
+    r0 = w0 * x + b0 - y
+    assert abs(history[0] - np.mean(r0 ** 2)) < 1e-15
+    # first Adam step from zero moments moves each parameter by lr * g / (|g| + eps)
+    gw, gb = 2.0 * np.mean(r0 * x), 2.0 * np.mean(r0)
+    w1 = w0 - lr * gw / (abs(gw) + 1e-8)
+    b1 = b0 - lr * gb / (abs(gb) + 1e-8)
+    assert abs(history[1] - np.mean((w1 * x + b1 - y) ** 2)) < 1e-14
+
+
+@pytest.mark.parametrize("rows", [1, 30, 530])
+@pytest.mark.parametrize("chain", ["one-net", "trunk-and-head"])
+def test_fit_mse_equals_the_graph_fit_bit_for_bit(rows, chain):
+    rng = np.random.default_rng(rows)
+    x, y = rng.uniform(size=(rows, 3)), rng.uniform(size=(rows, 1))
+
+    def nets():
+        if chain == "one-net":
+            return [init_mlp([3, 16, 8, 1], SeededRng(5), out_activation="linear")]
+        return [init_mlp([3, 12], SeededRng(6)),
+                init_mlp([12, 8, 1], SeededRng(7), out_activation="linear")]
+
+    fused, graph = nets(), nets()
+    history = fit_mse(fused, x, y, 30, 1e-2)
+    assert history == graph_reference.fit_mse(graph, x, y, 30, 1e-2)
+    assert [n.checksum() for n in fused] == [n.checksum() for n in graph]
+
+
+def test_fit_mse_rejects_targets_of_another_shape():
+    net = init_mlp([2, 1], SeededRng(1), out_activation="linear")
+    with pytest.raises(ShapeError, match="targets"):
+        fit_mse([net], np.zeros((4, 2)), np.zeros(4), 1, 1e-3)
+
+
+# ------------------------------------------------------------ flat parameters
+
+def test_parameter_values_are_views_the_step_updates_in_place():
+    a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    b = Tensor(np.array([[5.0]]), requires_grad=True)
+    opt = Adam([a, b], learning_rate=0.1)
+    held = a.value
+    assert np.array_equal(a.value, [[1.0, 2.0], [3.0, 4.0]]) and b.value[0, 0] == 5.0
+    assert a.value.base is not None and a.value.base is b.value.base
+    opt.step([np.ones((2, 2)), np.ones((1, 1))])
+    assert a.value is held
+    assert np.all(held < [[1.0, 2.0], [3.0, 4.0]]) and b.value[0, 0] < 5.0
+
+
+def test_flat_step_equals_a_tensor_by_tensor_step():
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (1, 4), (4, 1), (1, 1)]
+    flat = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    each = [Tensor(p.value.copy(), requires_grad=True) for p in flat]
+    opt, ref = Adam(flat, 1e-2), graph_reference.TensorAdam(each, 1e-2)
+    for _ in range(25):
+        grads = [rng.normal(size=s) for s in shapes]
+        opt.step(grads)
+        ref.step(grads)
+    for p, q in zip(flat, each):
+        assert p.value.tobytes() == q.value.tobytes()
+
+
+def test_nan_gradient_raises_and_changes_nothing():
+    p = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+    q = Tensor(np.array([[2.0]]), requires_grad=True)
+    opt = Adam([p, q], learning_rate=0.1)
+    opt.step([np.array([[0.5, 0.5]]), np.array([[1.0]])])
+    values = (p.value.copy(), q.value.copy())
+    moments = (opt._m.copy(), opt._v.copy())
+    with pytest.raises(DivergenceError, match="step 2"):
+        opt.step([np.array([[0.5, 0.5]]), np.array([[np.nan]])])
+    assert opt.step_count == 1
+    assert np.array_equal(p.value, values[0]) and np.array_equal(q.value, values[1])
+    assert np.array_equal(opt._m, moments[0]) and np.array_equal(opt._v, moments[1])
+
+
+def test_a_second_optimizer_takes_over_shared_tensors():
+    # pretraining steps the trunk and head; the critic's optimizer then
+    # takes over the same trunk tensors, starting from their trained values
+    trunk = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    head = Tensor(np.array([[3.0]]), requires_grad=True)
+    critic = Tensor(np.array([[4.0]]), requires_grad=True)
+    first = Adam([trunk, head], learning_rate=0.1)
+    first.step([np.ones((1, 2)), np.ones((1, 1))])
+    trained = trunk.value.copy()
+    second = Adam([trunk, critic], learning_rate=0.1)
+    assert np.array_equal(trunk.value, trained)
+    second.step([np.ones((1, 2)), np.ones((1, 1))])
+    assert np.all(trunk.value < trained) and critic.value[0, 0] < 4.0
+    with pytest.raises(ContractError, match="rebound"):
+        first.step([np.ones((1, 2)), np.ones((1, 1))])
+
+
+def test_the_same_tensor_twice_is_refused():
+    p = Tensor(np.zeros((1, 1)), requires_grad=True)
+    with pytest.raises(ContractError, match="twice"):
+        Adam([p, p])
