@@ -22,6 +22,12 @@ OUT_ACTIVATIONS = ("leaky-relu", "linear", "sigmoid")
 SLOPE = 0.01                            # leaky-relu slope below zero
 
 
+def sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums as a (1, k) row, formed as the graph's `sum_to` forms them:
+    a single row is passed through, not summed."""
+    return a.sum(axis=0, keepdims=True) if a.shape[0] != 1 else a
+
+
 @dataclass
 class Mlp:
     """Weights plus activation policy; layer i maps dims[i] -> dims[i+1]."""
@@ -68,7 +74,7 @@ class Mlp:
             if h.shape[1] != w.shape[0]:
                 raise ShapeError(
                     f"layer {i}: input has {h.shape[1]} columns, weight expects {w.shape[0]}")
-            z = h @ w.value + np.broadcast_to(b.value, (h.shape[0], w.shape[1]))
+            z = h @ w.value + b.value
             if i < last or self.out_activation == "leaky-relu":
                 mask = np.where(z > 0.0, 1.0, SLOPE)
                 if tape is not None:
@@ -98,7 +104,7 @@ class Mlp:
             if mask is not None:
                 g = g * mask
             grads[2 * i] = h.T @ g
-            grads[2 * i + 1] = g.sum(axis=0, keepdims=True) if g.shape[0] != 1 else g
+            grads[2 * i + 1] = sum_rows(g)
             if i > 0 or need_input:
                 g = g @ self.layers[i][0].value.T
         return grads, g if need_input else None

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError, ShapeError
-from .layers import Mlp
+from .layers import Mlp, sum_rows
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -98,9 +98,7 @@ def fit_mse(nets: Sequence[Mlp], x: np.ndarray, y: np.ndarray, epochs: int,
         if h.shape != y.shape:
             raise ShapeError(f"fit_mse: predictions {h.shape} and targets {y.shape} differ")
         r = h - y
-        sq = r * r
-        total = sq.sum(axis=0, keepdims=True) if sq.shape[0] != 1 else sq
-        history.append(float((total * scale)[0, 0]))
+        history.append(float((sum_rows(r * r) * scale)[0, 0]))
         g = np.broadcast_to(seed, r.shape) * (r * 2.0)
         grads = []
         for i in reversed(range(len(nets))):

@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TabularDataset
 from .errors import ConfigError, ContractError, DivergenceError, SoftaugError
-from .layers import init_mlp
+from .layers import init_mlp, sum_rows
 from .optim import Adam, fit_mse
 from .rng import SeededRng, gaussian_noise
 
@@ -159,11 +159,6 @@ def regression_loss(model: RganModel, real_x, real_y, fake_x: Tensor,
     return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
-def _sum_rows(s: np.ndarray) -> np.ndarray:
-    """The graph's `sum_all` of an (n, 1) column, as a (1, 1) array."""
-    return s.sum(axis=0, keepdims=True) if s.shape[0] != 1 else s
-
-
 def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
     """Sum over rows of (|d score / d interp| - 1)^2, and its weight gradients.
 
@@ -195,7 +190,7 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
          + np.concatenate([np.zeros((n, d)), g_y], axis=1))
     sq_norm = (g * g).sum(axis=1, keepdims=True) + 1e-24
     excess = sq_norm ** 0.5 + -1.0
-    total = _sum_rows(excess * excess)
+    total = sum_rows(excess * excess)
 
     gg = np.broadcast_to(seed, (n, 1)) * (excess * 2.0)
     gg = np.broadcast_to((gg * (sq_norm ** -0.5)) * 0.5, (n, d + 1)) * (g * 2.0)
@@ -248,7 +243,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
         trunk_tape, head_tape = [], []
         h = trunk.forward_values(x, trunk_tape)
         score = head.forward_values(np.concatenate([h, y], axis=1), head_tape)
-        means[name] = _sum_rows(score) * (1.0 / n)
+        means[name] = sum_rows(score) * (1.0 / n)
         features[name] = h, trunk_tape
         head_grads, g = head.backward(head_tape, np.broadcast_to(sign * (1.0 / n), (n, 1)),
                                       need_input=True)
@@ -276,7 +271,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
             residuals.append((model.regressor_head.forward_values(h, head_tape) - y,
                               head_tape, trunk_tape))
         (r_fake, *_), (r_real, *_) = residuals
-        reg = (_sum_rows(r_fake * r_fake) + _sum_rows(r_real * r_real)) * (1.0 / n)
+        reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
         loss = loss + reg * config.critic_reg_weight
         parts["regression"] = float(reg[0, 0])
         if shared:
