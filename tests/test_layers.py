@@ -4,7 +4,7 @@ import pytest
 
 from softaug import ContractError, SeededRng, ShapeError, Tensor, init_mlp
 from softaug import autodiff as ad
-from softaug.layers import SLOPE, Mlp
+from softaug.layers import SLOPE, Mlp, sum_rows
 
 
 def _manual_forward(net, x):
@@ -71,6 +71,13 @@ def test_backward_equals_the_graph_gradients(rows):
     for got, ref in zip(grads + [g_in], want):
         assert np.array_equal(got, ref.value)
     assert net.backward(tape, y * 2.0)[1] is None
+
+
+def test_sum_rows_passes_a_single_row_through():
+    # as the graph's sum_to: summing one row would turn -0.0 into +0.0
+    row = np.array([[-0.0, 1.5]])
+    assert np.array_equal(np.signbit(sum_rows(row)), [[True, False]])
+    assert np.array_equal(sum_rows(np.array([[1.0, 2.0], [3.0, -4.0]])), [[4.0, -2.0]])
 
 
 def test_tape_refuses_a_sigmoid_output():
