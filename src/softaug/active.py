@@ -64,13 +64,18 @@ class AcquisitionRecord:
 
 # ------------------------------------------------------------------ k-means
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterResult:
-    """Seeded k-means++ start, Lloyd iterations to a 1e-6 shift or 100 rounds."""
+def kmeans(points: np.ndarray, k: int, seed: int, distinct: int | None = None) -> ClusterResult:
+    """Seeded k-means++ start, Lloyd iterations to a 1e-6 shift or 100 rounds.
+
+    `distinct` is the number of distinct rows of `points` when the caller
+    has already counted them; otherwise it is counted here.
+    """
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    distinct = np.unique(points, axis=0).shape[0]
+    if distinct is None:
+        distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
         raise DegeneracyError(f"k={k} exceeds {distinct} distinct points")
     rng = SeededRng(seed)
@@ -168,12 +173,13 @@ def choose_k(points: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
     return _choose_k(points, _pool_dists(points), k_lo, k_hi, seed)
 
 
-def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
+def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed: int,
+              distinct: int | None = None) -> int:
     if k_lo < 2 or k_hi < k_lo:
         raise ContractError(f"need 2 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     best_k, best_s = None, -np.inf
     for k in range(k_lo, k_hi + 1):
-        result = kmeans(points, k, derive_seed(seed, f"kmeans:{k}"))
+        result = kmeans(points, k, derive_seed(seed, f"kmeans:{k}"), distinct)
         s = _silhouette(dists, result.assignments)
         if s > best_s:
             best_k, best_s = k, s
@@ -254,6 +260,7 @@ def run_active_selection(
         raise BudgetError(f"budget {budget.total} exceeds pool size {m}")
     spec = regressor_spec or RegressorSpec(kind="kernel-ridge")
     dists = _pool_dists(points)
+    distinct = None
     if budget.initial is None:
         if m // 2 < 2:
             raise BudgetError(f"pool of {m} is too small to choose an initial count")
@@ -262,12 +269,12 @@ def run_active_selection(
             raise DegeneracyError(
                 f"pool has {distinct} distinct row(s); choosing an initial count needs 2")
         k_hi = min(10, m // 2, distinct)
-        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"))
+        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"), distinct)
     else:
         m0 = budget.initial
     m0 = min(m0, budget.total)
 
-    clusters = kmeans(points, m0, derive_seed(seed, "kmeans"))
+    clusters = kmeans(points, m0, derive_seed(seed, "kmeans"), distinct)
     labeled = init_select(points, clusters)
     state = SelectionState(labeled=list(labeled))
     for i in state.labeled:

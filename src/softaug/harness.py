@@ -76,9 +76,17 @@ class ExperimentConfig:
             raise ConfigError(f"dataset source must be synthetic or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs dataset.path")
-        for name in ("dataset_n", "test_count", "train_count", "candidate_batches", "ds_folds"):
+        for name in ("dataset_n", "test_count", "train_count", "candidate_batches"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.ds_folds < 2:
+            raise ConfigError(f"ds_folds must be >= 2, got {self.ds_folds}")
+        # the batch ranking cuts the real and each generated set into ds_folds folds
+        for name in ("train_count", "generated_count"):
+            rows = getattr(self, name)
+            if self.select_best and 0 < rows < self.ds_folds:
+                raise ConfigError(f"{name} {rows} is below ds_folds {self.ds_folds}; "
+                                  f"the batch ranking needs a row per fold")
         for name in ("generated_count", "initial_count", "mlp_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -239,7 +247,7 @@ def write_csv(path, header: list[str], rows: list[tuple], comments: list[str] = 
 
 
 TRACE_HEADER = ["iteration", "critic_loss", "generator_loss",
-                "regression_loss", "wasserstein"]
+                "regression_loss", "wasserstein", "penalty"]
 QUALITY_HEADER = ["batch", "mmd2", "ds", "mmd_rank", "ds_rank", "combined", "selected"]
 ACQ_HEADER = ["step", "index", "d_x", "d_y", "r", "score"]
 QUALITY_COMMENT = "mmd2 and ds are lower-is-better; ds is a cross-fit MAE surrogate"

@@ -87,16 +87,23 @@ def _fold_indices(n: int, folds: int, rng: SeededRng) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _direction_maes(train_ds: TabularDataset, test_ds: TabularDataset,
-                    train_folds: Sequence[np.ndarray],
-                    test_folds: Sequence[np.ndarray],
-                    factory: RegressorFactory) -> list[float]:
-    maes = []
+def _fold_models(train_ds: TabularDataset, train_folds: Sequence[np.ndarray],
+                 factory: RegressorFactory) -> list:
+    """Model i is fit on every fold of `train_ds` but fold i."""
+    models = []
     for i in range(len(train_folds)):
         keep = np.concatenate([f for j, f in enumerate(train_folds) if j != i])
-        model = factory(train_ds.features[keep], train_ds.labels[keep])
-        pred = np.asarray(model.predict(test_ds.features[test_folds[i]]), dtype=float)
-        maes.append(float(np.mean(np.abs(pred - test_ds.labels[test_folds[i]]))))
+        models.append(factory(train_ds.features[keep], train_ds.labels[keep]))
+    return models
+
+
+def _fold_maes(models: Sequence, test_ds: TabularDataset,
+               test_folds: Sequence[np.ndarray]) -> list[float]:
+    """MAE of model i on fold i of `test_ds`."""
+    maes = []
+    for model, fold in zip(models, test_folds):
+        pred = np.asarray(model.predict(test_ds.features[fold]), dtype=float)
+        maes.append(float(np.mean(np.abs(pred - test_ds.labels[fold]))))
     return maes
 
 
@@ -112,22 +119,42 @@ def _content_fold_seed(seed: int, ds: TabularDataset) -> int:
     return derive_seed(seed, f"folds:{digest}")
 
 
-def diversity_score(real: TabularDataset, generated: TabularDataset,
-                    folds: int = 5, factory: RegressorFactory | None = None,
-                    seed: int = 0) -> float:
-    """Cross-fit MAE score; lower means the batch behaves like real data."""
+def _content_folds(ds: TabularDataset, folds: int, seed: int) -> list[np.ndarray]:
+    return _fold_indices(ds.n_rows, folds, SeededRng(_content_fold_seed(seed, ds)))
+
+
+def _check_folds(folds: int, *sets: TabularDataset) -> None:
     if folds < 2:
         raise ContractError(f"need at least 2 folds, got {folds}")
-    if real.n_rows < folds or generated.n_rows < folds:
+    if any(ds.n_rows < folds for ds in sets):
         raise ContractError(
-            f"need >= {folds} rows per set, got {real.n_rows} and {generated.n_rows}")
+            f"need >= {folds} rows per set, got {' and '.join(str(ds.n_rows) for ds in sets)}")
+
+
+def _real_fold_models(real: TabularDataset, folds: int, factory: RegressorFactory,
+                      seed: int) -> list:
+    """The real -> generated models of `diversity_score`. They depend on the
+    real set alone, so a ranking fits them once for all its batches."""
+    _check_folds(folds, real)
+    return _fold_models(real, _content_folds(real, folds, seed), factory)
+
+
+def diversity_score(real: TabularDataset, generated: TabularDataset,
+                    folds: int = 5, factory: RegressorFactory | None = None,
+                    seed: int = 0, *, real_models: Sequence | None = None) -> float:
+    """Cross-fit MAE score; lower means the batch behaves like real data.
+
+    `real_models`, if given, are the models `_real_fold_models(real, folds,
+    factory, seed)` returns; otherwise they are fit here.
+    """
+    _check_folds(folds, real, generated)
     factory = factory or default_regressor_factory()
-    real_folds = _fold_indices(real.n_rows, folds,
-                               SeededRng(_content_fold_seed(seed, real)))
-    gen_folds = _fold_indices(generated.n_rows, folds,
-                              SeededRng(_content_fold_seed(seed, generated)))
-    gen_to_real = _direction_maes(generated, real, gen_folds, real_folds, factory)
-    real_to_gen = _direction_maes(real, generated, real_folds, gen_folds, factory)
+    if real_models is None:
+        real_models = _real_fold_models(real, folds, factory, seed)
+    gen_folds = _content_folds(generated, folds, seed)
+    gen_models = _fold_models(generated, gen_folds, factory)
+    gen_to_real = _fold_maes(gen_models, real, _content_folds(real, folds, seed))
+    real_to_gen = _fold_maes(real_models, generated, gen_folds)
     return 2.0 * (sum(gen_to_real) + sum(real_to_gen))
 
 
@@ -154,7 +181,10 @@ def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
     if not batches:
         raise ContractError("select_best_batch needs at least one batch")
     mmds = [max(mmd2(real, b, bandwidth), 0.0) for b in batches]
-    dss = [diversity_score(real, b, folds, factory, seed) for b in batches]
+    factory = factory or default_regressor_factory()
+    real_models = _real_fold_models(real, folds, factory, seed)
+    dss = [diversity_score(real, b, folds, factory, seed, real_models=real_models)
+           for b in batches]
 
     def norm(vals):
         lo, hi = min(vals), max(vals)

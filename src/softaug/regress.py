@@ -18,6 +18,8 @@ from .optim import fit_mse
 from .rng import SeededRng
 
 Bandwidth = Union[str, float]
+# rows per diagonal block of the kernel-ridge triangular solves
+SOLVE_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,27 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def median_bandwidth(rows: np.ndarray) -> float:
     """Median pairwise distance over the rows; 1.0 if that degenerates."""
-    n = rows.shape[0]
+    return _median_width(squared_distances(rows, rows))
+
+
+def _median_width(d2: np.ndarray) -> float:
+    """`np.median(np.sqrt(...))` of the strict upper triangle of `d2`, or 1.0
+    for fewer than two rows, a NaN distance or a median <= 0.
+
+    sqrt is monotone, so only the middle one or two squared distances are
+    partitioned into place and rooted; the result equals the full median
+    bit for bit.
+    """
+    n = d2.shape[0]
     if n < 2:
         return 1.0
-    d2 = squared_distances(rows, rows)
-    upper = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(np.sqrt(upper)))
+    upper = d2[~np.tri(n, dtype=bool)]
+    half = upper.size // 2
+    middle = [half - 1, half] if upper.size % 2 == 0 else [half]
+    part = np.partition(upper, [*middle, -1])     # NaNs sort last, as in np.median
+    if np.isnan(part[-1]):
+        return 1.0
+    med = float(np.median(np.sqrt(part[middle])))
     return med if med > 0.0 else 1.0
 
 
@@ -89,6 +106,27 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-squared_distances(a, b) / (2.0 * sigma * sigma))
 
 
+def _cholesky_solve(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c with chol @ chol.T @ c = y, by blocked forward then back substitution.
+
+    Each diagonal block of SOLVE_BLOCK rows is solved with np.linalg.solve,
+    so a system of at most one block makes exactly the two dense solves
+    `solve(chol, y)` and `solve(chol.T, z)`, and a larger one factorizes
+    only small blocks instead of the whole triangle twice.
+    """
+    starts = range(0, y.shape[0], SOLVE_BLOCK)
+    z = np.empty_like(y)
+    for s in starts:
+        e = s + SOLVE_BLOCK
+        z[s:e] = np.linalg.solve(chol[s:e, s:e], y[s:e] - chol[s:e, :s] @ z[:s])
+    upper = chol.T
+    c = np.empty_like(y)
+    for s in reversed(starts):
+        e = s + SOLVE_BLOCK
+        c[s:e] = np.linalg.solve(upper[s:e, s:e], z[s:e] - upper[s:e, e:] @ c[e:])
+    return c
+
+
 class KernelRidgeRegressor:
     """f(x) = sum_i c_i k(x, x_i) with (K + ridge*I) c = y."""
 
@@ -105,8 +143,10 @@ class KernelRidgeRegressor:
             raise ContractError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
         if x.shape[0] == 0:
             raise ContractError("cannot fit on an empty dataset")
-        self.sigma = _resolve_bandwidth(self.spec.bandwidth, x)
-        gram = rbf_kernel(x, x, self.sigma)
+        d2 = squared_distances(x, x)
+        bw = check_bandwidth(self.spec.bandwidth)
+        self.sigma = _median_width(d2) if bw is None else bw
+        gram = np.exp(-d2 / (2.0 * self.sigma * self.sigma))
         gram[np.diag_indices_from(gram)] += self.spec.ridge
         try:
             chol = np.linalg.cholesky(gram)
@@ -114,8 +154,7 @@ class KernelRidgeRegressor:
             raise ConditioningError(
                 "kernel system is singular (duplicate rows?); "
                 "use a ridge > 0") from None
-        z = np.linalg.solve(chol, y)
-        self._coef = np.linalg.solve(chol.T, z)
+        self._coef = _cholesky_solve(chol, y)
         self._x = x
         return self
 

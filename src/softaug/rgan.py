@@ -319,14 +319,15 @@ class TrainTrace:
     generator_loss: list[float]
     regression_loss: list[float]
     wasserstein: list[float]
+    penalty: list[float]
 
     @staticmethod
     def empty() -> "TrainTrace":
-        return TrainTrace([], [], [], [], [], [])
+        return TrainTrace([], [], [], [], [], [], [])
 
     def numeric_rows(self) -> list[tuple]:
         return list(zip(self.iteration, self.critic_loss, self.generator_loss,
-                        self.regression_loss, self.wasserstein))
+                        self.regression_loss, self.wasserstein, self.penalty))
 
 
 def pretrain_regressor(model: RganModel, train: TabularDataset,
@@ -394,6 +395,7 @@ def train(train_ds: TabularDataset, config: GanConfig,
         trace.generator_loss.append(gparts["loss"])
         trace.regression_loss.append(parts["regression"])
         trace.wasserstein.append(parts["wasserstein"])
+        trace.penalty.append(parts["penalty"])
     return model, trace
 
 

@@ -98,6 +98,21 @@ def test_kmeans_deterministic_and_validates_k():
         kmeans(points, 0, seed=7)
 
 
+def test_kmeans_given_the_distinct_count_matches_counting_it():
+    rng = np.random.default_rng(12)
+    points = np.vstack([rng.normal(size=(30, 3)),
+                        np.repeat(rng.normal(size=(1, 3)), 10, axis=0)])
+    distinct = np.unique(points, axis=0).shape[0]
+    assert distinct == 31
+    for k in (1, 3, 8, distinct):
+        a, b = kmeans(points, k, seed=k), kmeans(points, k, seed=k, distinct=distinct)
+        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.inertia == b.inertia
+    with pytest.raises(DegeneracyError, match="32 exceeds 31 distinct"):
+        kmeans(points, distinct + 1, seed=0, distinct=distinct)
+
+
 def test_kmeans_assigns_to_nearest_centroid():
     points = _blobs([(0, 0), (4, 0), (0, 4)], 6, 0.4, seed=2)
     result = kmeans(points, 3, seed=5)
@@ -405,6 +420,20 @@ def test_auto_initial_count_capped_at_distinct_rows():
     same = _pool(np.zeros((60, 2)), np.zeros(60))
     with pytest.raises(DegeneracyError, match="1 distinct"):
         run_active_selection(same, lambda i: 0.0, LabelBudget(None, 10), seed=0)
+
+
+def test_selection_counts_distinct_rows_once_for_every_kmeans(monkeypatch):
+    base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+    pool = _pool(np.repeat(base, 15, axis=0), np.repeat([0.0, 1.0, 2.0, 3.0], 15))
+    given, inner = [], active.kmeans
+
+    def recording(points, k, seed, distinct=None):
+        given.append(distinct)
+        return inner(points, k, seed, distinct)
+
+    monkeypatch.setattr(active, "kmeans", recording)
+    run_active_selection(pool, lambda i: float(pool.labels[i]), LabelBudget(None, 8), seed=0)
+    assert given == [4] * 4          # k = 2, 3, 4 for the silhouette, then the warm start
 
 
 def test_budget_overdraft_and_tiny_pool_errors():

@@ -198,9 +198,20 @@ def test_config_validation():
                           ({"mlp_learning_rate": 0.0}, "mlp_learning_rate"),
                           ({"mlp_learning_rate": nan}, "mlp_learning_rate"),
                           ({"mlp_hidden": (16, 0)}, "mlp_hidden"),
-                          ({"mlp_epochs": -1}, "mlp_epochs")):
+                          ({"mlp_epochs": -1}, "mlp_epochs"),
+                          ({"ds_folds": 1}, "ds_folds must be >= 2, got 1"),
+                          ({"ds_folds": 0}, "ds_folds must be >= 2, got 0"),
+                          ({"generated_count": 3}, "generated_count 3 is below ds_folds 5"),
+                          ({"train_count": 16, "ds_folds": 20},
+                           "train_count 16 is below ds_folds 20")):
         with pytest.raises(ConfigError, match=fragment):
             ExperimentConfig(**bad)
+    # the rows-per-fold rule binds only the sets a ranking cuts into folds
+    for good in ({"generated_count": 0},
+                 {"generated_count": 3, "select_best": False},
+                 {"train_count": 4, "ds_folds": 5, "select_best": False},
+                 {"train_count": 5, "generated_count": 5}):
+        ExperimentConfig(**good)
 
 
 def test_ranking_reads_the_config_bandwidth():
@@ -258,7 +269,11 @@ def test_pipeline_artifacts_and_metrics(tmp_path):
     assert manifest["selection"]["method"] == "active"
     assert len(manifest["selection"]["acquisitions"]) == 16 - 3
 
-    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 4
+    trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert trace_lines[0] == ("iteration,critic_loss,generator_loss,regression_loss,"
+                              "wasserstein,penalty")
+    assert len(trace_lines) == 1 + 4
+    assert [float(line.split(",")[-1]) for line in trace_lines[1:]] == result.trace.penalty
     assert len((tmp_path / "quality.csv").read_text().splitlines()) == 2 + 2
     assert parse_config((tmp_path / "config.echo.ini").read_text()) == cfg
     gen_text = (tmp_path / "generated.csv").read_text()
@@ -570,6 +585,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     neg_width = ini_file("neg_width.ini", "[gan]\ncritic_hidden = -1\n")
     nan_weight = ini_file("nan_weight.ini", "[gan]\ngp_weight = nan\n")
     nan_ridge = ini_file("nan_ridge.ini", "[downstream]\nridge = nan\n")
+    one_fold = ini_file("one_fold.ini", "[quality]\nds_folds = 1\n")
+    few_rows = ini_file("few_rows.ini", "[quality]\ngenerated_count = 3\n")
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("x1,x2,y\n")
     header_only_ini = ini_file("header_only.ini", config_to_ini(ExperimentConfig(
@@ -599,6 +616,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (["pipeline", "--config", neg_width], None, 2, "critic_hidden must be >= 1, got -1"),
         (["pipeline", "--config", nan_weight], None, 2, "gp_weight must be finite"),
         (["pipeline", "--config", nan_ridge], None, 2, "ridge must be finite"),
+        (["pipeline", "--config", one_fold], None, 2, "ds_folds must be >= 2, got 1"),
+        (["pipeline", "--config", few_rows], None, 2,
+         "generated_count 3 is below ds_folds 5"),
         (["select", "--config", missing_csv], None, 3, "absent.csv"),
         (["select", "--config", no_pool], None, 3, "leaves a pool of 0"),
         (["pipeline", "--config", header_only_ini], None, 3, "dataset of 0 rows"),

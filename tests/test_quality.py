@@ -272,6 +272,32 @@ def test_selection_matches_recoded_scorer():
         assert abs(quality.ds - ds_value) < 1e-9
 
 
+def test_select_best_batch_report_equals_public_scores_bit_for_bit():
+    real = _random_dataset(20, 2, seed=36)
+    batches = [_random_dataset(n, 2, seed=s, provenance="generated")
+               for s, n in ((37, 20), (38, 25), (39, 60))]
+    for bandwidth in ("median", 0.7):
+        _, report = select_best_batch(real, batches, bandwidth, folds=4, seed=5)
+        assert [q.mmd2 for q in report] == [max(mmd2(real, b, bandwidth), 0.0)
+                                            for b in batches]
+        assert [q.ds for q in report] == [diversity_score(real, b, 4, seed=5)
+                                          for b in batches]
+
+
+def test_select_best_batch_fits_the_real_fold_models_once():
+    fits = []
+
+    def counting_factory(x, y):
+        fits.append(x.shape[0])
+        return _constant_factory(x, y)
+
+    real = _random_dataset(12, 2, seed=40)
+    batches = [_random_dataset(20, 2, seed=s, provenance="generated") for s in (41, 42, 43)]
+    select_best_batch(real, batches, folds=4, factory=counting_factory)
+    # 4 real-fold models, then 4 per batch; real folds hold 9 rows, batch folds 15
+    assert fits == [9] * 4 + [15] * 12
+
+
 def test_select_best_batch_requires_batches():
     with pytest.raises(ContractError):
         select_best_batch(_random_dataset(6, 1, seed=35), [])

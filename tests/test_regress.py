@@ -5,8 +5,8 @@ import pytest
 from softaug import Metrics, RegressorSpec, evaluate, fit
 from softaug.data import TabularDataset
 from softaug.errors import ConditioningError, ContractError
-from softaug.regress import (KernelRidgeRegressor, MlpRegressor,
-                             median_bandwidth, metrics_from_residuals,
+from softaug.regress import (SOLVE_BLOCK, KernelRidgeRegressor, MlpRegressor,
+                             _cholesky_solve, median_bandwidth, metrics_from_residuals,
                              rbf_kernel, squared_distances)
 
 
@@ -51,7 +51,49 @@ def test_median_bandwidth_degenerate_cases():
     assert median_bandwidth(np.full((4, 2), 3.0)) == 1.0
 
 
+def _full_median(rows):
+    """The median over every pair, from all of their square roots."""
+    n = rows.shape[0]
+    if n < 2:
+        return 1.0
+    d2 = squared_distances(rows, rows)
+    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    return med if med > 0.0 else 1.0
+
+
+def test_median_bandwidth_equals_the_full_median_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (2, 3, 4, 5, 6, 40, 101):
+        dup = rng.normal(size=(n, 2))
+        dup[n // 2:] = dup[0]
+        cases += [rng.normal(size=(n, 3)),
+                  rng.integers(0, 3, size=(n, 2)).astype(float),   # a grid: many ties
+                  dup,                                              # duplicate rows
+                  np.repeat(rng.normal(size=(1, 2)), n, axis=0)]    # all rows equal
+    with_nan = rng.normal(size=(6, 2))
+    with_nan[4, 1] = np.nan
+    cases.append(with_nan)
+    for rows in cases:
+        assert median_bandwidth(rows) == _full_median(rows), rows
+
+
 # ------------------------------------------------------------- kernel ridge
+
+def test_cholesky_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(43)
+    for n in (1, 47, 48, 49, 400, 550):
+        x = rng.uniform(size=(n, 2))
+        gram = rbf_kernel(x, x, median_bandwidth(x)) + 1e-3 * np.eye(n)
+        chol = np.linalg.cholesky(gram)
+        y = rng.normal(size=n)
+        got = _cholesky_solve(chol, y)
+        want = np.linalg.solve(gram, y)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), n
+        if n <= SOLVE_BLOCK:
+            old = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
+            assert got.tobytes() == old.tobytes(), n
+
 
 def test_small_ridge_interpolates_distinct_points():
     x = np.arange(5, dtype=float).reshape(-1, 1)

@@ -402,9 +402,34 @@ def test_trace_shape_and_mode_marking():
     assert len(full.iteration) == 3 and full.iteration == [0, 1, 2]
     assert all(np.isfinite(full.regression_loss))
 
+    assert all(np.isfinite(full.penalty)) and min(full.penalty) >= 0.0
+    assert [row[5] for row in full.numeric_rows()] == full.penalty
+
     _, wgan = train(ds, _tiny().wgan_gp_mode(), seed=1)
     assert np.isnan(wgan.regression_loss).all()
     assert all(np.isfinite(wgan.wasserstein))
+
+    _, no_gp = train(ds, _tiny(gp_weight=0.0), seed=1)
+    assert no_gp.penalty == [0.0, 0.0, 0.0]
+
+
+def test_trace_critic_columns_come_from_the_last_critic_step(monkeypatch):
+    from softaug import rgan
+    seen, inner = [], rgan.critic_regressor_loss
+
+    def recording(*args):
+        grads, parts = inner(*args)
+        seen.append(parts)
+        return grads, parts
+
+    monkeypatch.setattr(rgan, "critic_regressor_loss", recording)
+    cfg = _tiny(iterations=3, n_critic=2)
+    _, trace = train(_train_ds(n=12, seed=5), cfg, seed=1)
+    last = seen[cfg.n_critic - 1::cfg.n_critic]
+    assert len(last) == 3
+    for column, key in ((trace.critic_loss, "loss"), (trace.wasserstein, "wasserstein"),
+                        (trace.regression_loss, "regression"), (trace.penalty, "penalty")):
+        assert column == [parts[key] for parts in last]
 
 
 def test_training_handles_batches_larger_than_the_dataset():
