@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .data import TabularDataset
-from .errors import BudgetError, ContractError, DegeneracyError
+from .errors import BudgetError, ContractError, DataError, DegeneracyError
 from .regress import RegressorSpec, make_regressor
 from .rng import SeededRng, derive_seed
 
@@ -258,6 +258,7 @@ def run_active_selection(
     m = points.shape[0]
     if budget.total > m:
         raise BudgetError(f"budget {budget.total} exceeds pool size {m}")
+    _check_scale(points, pool.columns)
     spec = regressor_spec or RegressorSpec(kind="kernel-ridge")
     dists = _pool_dists(points)
     distinct = None
@@ -301,6 +302,30 @@ def run_active_selection(
                               np.array([state.labels[i] for i in state.labeled]),
                               pool.columns, pool.label_name, "real")
     return selected, records
+
+
+def _check_scale(points: np.ndarray, columns) -> None:
+    """A DataError naming the feature columns whose scale overflows selection.
+
+    Selection runs on raw units. A point's summed squared distances to the
+    m pool points stay below m * sum(span_j**2), and the kernel model's
+    |a|**2 + |b|**2 - 2 a.b below 2 * sum(mag_j**2) before the subtraction,
+    with span_j and mag_j column j's range and largest magnitude. Both must
+    be finite; a column is named when its own term exceeds an even share.
+    """
+    if not points.size:
+        return
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    mag = np.maximum(-lo, hi)
+    with np.errstate(over="ignore"):
+        span2 = points.shape[0] * (hi - lo) ** 2
+        mag2 = 2.0 * mag ** 2
+        if np.isfinite(span2.sum()) and np.isfinite(mag2.sum()):
+            return
+    share = np.finfo(float).max / points.shape[1]
+    wide = [c for c, s, g in zip(columns, span2, mag2) if s > share or g > share]
+    raise DataError(f"feature column(s) {', '.join(wide or columns)} reach {mag.max():.3g}, "
+                    f"too large for the selection's squared distances; rescale them")
 
 
 def _fit_selection_model(spec: RegressorSpec, points: np.ndarray, state: SelectionState):

@@ -42,7 +42,7 @@ class CatalogError(DataError):
     """Unknown synthetic dataset name."""
 
 
-class DegeneracyError(SoftaugError):
+class DegeneracyError(DataError):
     """Clustering asked for more clusters than there are distinct points."""
 
 

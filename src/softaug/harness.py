@@ -7,9 +7,9 @@ outputs print floats with %.17g, which makes byte-identical reruns a
 testable contract; wall-clock lives only in manifest.json.
 
 `run_pipeline` is a chain of stage functions (`prepare`, `train_gan`,
-`score_candidates`, `fit_downstream`) inside one `run_record`. The CLI
-commands and the sweeps call the same functions, so each sub-seed label,
-artifact and manifest block is defined once.
+`score_candidates`, `fit_downstream`) inside one `run_record`. Each CLI
+command is one `run_*` function or sweep built from the same stages, so
+each sub-seed label, artifact and manifest block is defined once.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import BudgetError, ConfigError, ContractError
 from .quality import BatchQuality, select_best_batch
 from .regress import Metrics, RegressorSpec, check_bandwidth, evaluate, fit
 from .rgan import (GanConfig, RganModel, TrainTrace, check_finite, generate,
-                   save_checkpoint, train)
+                   load_checkpoint, save_checkpoint, train)
 from .rng import SeededRng, derive_seed
 
 # --------------------------------------------------------------- the config
@@ -93,7 +93,7 @@ class ExperimentConfig:
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden sizes must be >= 1, got {self.mlp_hidden}")
         check_finite("noise_sd", self.noise_sd)
-        check_finite("ridge", self.ridge)
+        check_finite("ridge", self.ridge, positive=True)
         check_finite("mlp_learning_rate", self.mlp_learning_rate, positive=True)
         for m in self.models:
             if m not in ("kernel-ridge", "mlp"):
@@ -202,38 +202,32 @@ def parse_config(path_or_text) -> ExperimentConfig:
         raise ConfigError(str(err)) from None
 
 
+def _fmt(v) -> str:
+    """A config value or CSV cell: true/false, %.17g, comma-joined tuples, "" for None."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ",".join(str(x) for x in v)
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
 def config_to_ini(cfg: ExperimentConfig) -> str:
     """Serialize a config so parse_config reads it back equivalently."""
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return ",".join(str(x) for x in v)
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         source = cfg.gan if section == "gan" else cfg
         out.write(f"[{section}]\n")
         for key, name in keys.items():
-            out.write(f"{key} = {fmt(getattr(source, name))}\n")
+            out.write(f"{key} = {_fmt(getattr(source, name))}\n")
         out.write("\n")
     return out.getvalue()
 
 
 # ------------------------------------------------------------------ outputs
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
 
 def write_csv(path, header: list[str], rows: list[tuple], comments: list[str] = ()) -> None:
     path = Path(path)
@@ -243,7 +237,7 @@ def write_csv(path, header: list[str], rows: list[tuple], comments: list[str] = 
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 TRACE_HEADER = ["iteration", "critic_loss", "generator_loss",
@@ -256,10 +250,6 @@ QUALITY_COMMENT = "mmd2 and ds are lower-is-better; ds is a cross-fit MAE surrog
 def quality_rows(report: list[BatchQuality]) -> list[tuple]:
     return [(b.batch, b.mmd2, b.ds, b.mmd_rank, b.ds_rank, b.combined, b.selected)
             for b in report]
-
-
-def acquisition_rows(records: list[AcquisitionRecord]) -> list[tuple]:
-    return [(r.step, r.index, r.d_x, r.d_y, r.r, r.score) for r in records]
 
 
 @dataclass
@@ -365,11 +355,13 @@ class Prepared:
     test_set: TabularDataset           # normalized
 
 
-def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
+def prepare(cfg: ExperimentConfig, manifest: RunManifest,
+            out: Path | None = None) -> Prepared:
     """Load -> split -> select -> normalize, the prelude of every command.
 
     Records the data, selection and normalize phases and the dataset and
-    selection blocks in `manifest`; a failure leaves its phase last.
+    selection blocks in `manifest`; a failure leaves its phase last. With
+    `out`, writes acquisition.csv when selecting actively.
     """
     with _phase(manifest, "data"):
         if cfg.source == "csv":
@@ -401,6 +393,8 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest) -> Prepared:
             "method": "active" if cfg.active_enabled else "random",
             "acquisitions": [asdict(r) for r in acquisitions],
         }
+        if out and acquisitions:
+            write_csv(out / "acquisition.csv", ACQ_HEADER, [astuple(r) for r in acquisitions])
     with _phase(manifest, "normalize"):
         normalizer = fit_normalizer(train_raw)
         return Prepared(pool, train_raw, acquisitions, normalizer,
@@ -413,8 +407,7 @@ def train_gan(cfg: ExperimentConfig, prep: Prepared, manifest: RunManifest,
     """Train the GAN on the normalized training rows; records the gan phase.
 
     With `out`, writes trace.csv and checkpoint.bin. The checkpoint carries
-    the normalizer, the seed and the seed tag, which `score` and `generate`
-    read back.
+    the normalizer, the seed and the seed tag; `read_checkpoint` reads them.
     """
     gan_tag = f"gan:{seed_tag}" if seed_tag else "gan"
     with _phase(manifest, "gan"):
@@ -432,31 +425,46 @@ def train_gan(cfg: ExperimentConfig, prep: Prepared, manifest: RunManifest,
     return model, trace
 
 
+def read_checkpoint(path) -> tuple[RganModel, NormalizationSpec | None, int | None]:
+    """A `train_gan` checkpoint's model, normalizer and seed; None for one not stored.
+
+    A normalizer that is unreadable or does not fit the model is a ContractError.
+    """
+    model, extra = load_checkpoint(path)
+    if "normalizer" not in extra:
+        return model, None, extra.get("seed")
+    try:
+        spec = NormalizationSpec.from_dict(extra["normalizer"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ContractError(f"{path}: malformed normalizer "
+                            f"({type(err).__name__}: {err})") from None
+    if spec.feature_lo.shape != spec.feature_hi.shape or \
+            spec.feature_lo.shape != (model.n_features,):
+        raise ContractError(f"{path}: normalizer does not fit the model's "
+                            f"{model.n_features} features")
+    return model, spec, extra.get("seed")
+
+
 def generate_candidates(model: RganModel, count: int, seed: int,
                         batches: int) -> list[TabularDataset]:
     """`batches` candidate batches of `count` rows; batch i draws from sub-seed gen:i."""
     return [generate(model, count, derive_seed(seed, f"gen:{i}")) for i in range(batches)]
 
 
-def rank_candidates(cfg: ExperimentConfig, train_n: TabularDataset,
-                    batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
-    """The dual data evaluation: rank every batch by MMD and diversity score."""
+def choose_batch(cfg: ExperimentConfig, train_n: TabularDataset,
+                 batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
+    """The batch a run keeps and the ranking: with `select_best` on and rows to
+    rank, the best by the dual data evaluation (MMD and diversity score), else 0."""
+    if not (cfg.select_best and batches[0].n_rows):
+        return 0, []
     return select_best_batch(train_n, batches, cfg.bandwidth, cfg.ds_folds,
                              seed=derive_seed(cfg.seed, "quality"))
 
 
-def choose_batch(cfg: ExperimentConfig, train_n: TabularDataset,
-                 batches: list[TabularDataset]) -> tuple[int, list[BatchQuality]]:
-    """The batch a run keeps: the best ranked with `select_best` on, else the first."""
-    if cfg.select_best and batches[0].n_rows:
-        return rank_candidates(cfg, train_n, batches)
-    return 0, []
-
-
 def score_candidates(cfg: ExperimentConfig, model: RganModel, train_n: TabularDataset,
-                     manifest: RunManifest, out: Path | None = None,
-                     pick=choose_batch) -> tuple[list[TabularDataset], int, list[BatchQuality]]:
-    """Generate the candidate batches, then `pick` one and record the ranking.
+                     manifest: RunManifest, out: Path | None = None
+                     ) -> tuple[list[TabularDataset], int, list[BatchQuality]]:
+    """Generate the candidate batches, then choose one and record the ranking.
 
     Records the generate and quality phases and the quality block; with
     `out`, writes quality.csv when there is a ranking.
@@ -465,7 +473,7 @@ def score_candidates(cfg: ExperimentConfig, model: RganModel, train_n: TabularDa
         batches = generate_candidates(model, cfg.generated_count, cfg.seed,
                                       cfg.candidate_batches)
     with _phase(manifest, "quality"):
-        best, report = pick(cfg, train_n, batches)
+        best, report = choose_batch(cfg, train_n, batches)
         manifest.quality = {"selected_batch": best,
                             "batches": [asdict(b) for b in report]}
         if out and report:
@@ -515,10 +523,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """
     out = Path(out_dir) if out_dir else None
     with run_record(cfg, out, seed_tag) as manifest:
-        prep = prepare(cfg, manifest)
-        if out and prep.acquisitions:
-            write_csv(out / "acquisition.csv", ACQ_HEADER,
-                      acquisition_rows(prep.acquisitions))
+        prep = prepare(cfg, manifest, out)
         model, trace = train_gan(cfg, prep, manifest, out, seed_tag)
         batches, best, q_report = score_candidates(cfg, model, prep.train_set,
                                                    manifest, out)
@@ -533,6 +538,62 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                      for (kind, condition), m in metrics.items()])
     return PipelineResult(manifest, model, trace, prep.train_set, prep.test_set,
                           prep.normalizer, selected, q_report, metrics)
+
+
+def run_select(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Prepared:
+    """The prelude alone; with `out_dir`, also selected_train.csv in raw units."""
+    out = Path(out_dir) if out_dir else None
+    with run_record(cfg, out) as manifest:
+        prep = prepare(cfg, manifest, out)
+        if out:
+            save_csv(prep.train_raw, out / "selected_train.csv")
+    return prep
+
+
+def run_train(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> TrainTrace:
+    """The prelude and the GAN; no acquisition log."""
+    out = Path(out_dir) if out_dir else None
+    with run_record(cfg, out) as manifest:
+        _, trace = train_gan(cfg, prepare(cfg, manifest), manifest, out)
+    return trace
+
+
+def run_score(cfg: ExperimentConfig, checkpoint, out_dir: str | Path | None = None
+              ) -> tuple[int, int, list[BatchQuality]]:
+    """Rank every candidate batch of a checkpoint trained at `cfg.seed`.
+
+    The ranking runs under `select_best = true` and its config rules,
+    whatever `cfg` says. Returns the batch count, the best batch and the
+    ranking.
+    """
+    if cfg.generated_count < 1:
+        raise ConfigError(f"generated_count must be >= 1 to rank batches, "
+                          f"got {cfg.generated_count}")
+    ranking = replace(cfg, select_best=True)
+    out = Path(out_dir) if out_dir else None
+    with run_record(cfg, out) as manifest:
+        model, normalizer, seed = read_checkpoint(checkpoint)
+        for key, value in (("normalizer", normalizer), ("seed", seed)):
+            if value is None:
+                raise ContractError(f"checkpoint {checkpoint} records no {key}")
+        if seed != cfg.seed:
+            raise ConfigError(f"seed {cfg.seed} differs from seed {seed} "
+                              f"that trained checkpoint {checkpoint}")
+        train_n = apply_normalizer(prepare(cfg, manifest).train_raw, normalizer)
+        batches, best, report = score_candidates(ranking, model, train_n, manifest, out)
+    return len(batches), best, report
+
+
+def run_generate(checkpoint, count: int, seed: int, out_dir: str | Path) -> Path:
+    """Write `count` rows from a checkpoint to `out_dir`/generated.csv, returning
+    that path; the rows are in raw units when the checkpoint stores a normalizer."""
+    model, normalizer, _ = read_checkpoint(checkpoint)
+    batch = generate_candidates(model, count, seed, 1)[0]
+    if normalizer is not None:
+        batch = invert_normalizer(batch, normalizer)
+    path = Path(out_dir) / "generated.csv"
+    save_csv(batch, path)
+    return path
 
 
 # -------------------------------------------------------------- multi - arm
@@ -608,8 +669,13 @@ def sweep_amount(cfg: ExperimentConfig, amounts=SWEEP_AMOUNTS,
 
     Generation seeds do not depend on the amount, so a larger batch extends
     a smaller one row-for-row (prefix sharing). Amount 0 reproduces the
-    real-only baseline exactly.
+    real-only baseline exactly. Each amount must be a valid `generated_count`.
     """
+    for amount in amounts:
+        try:
+            replace(cfg, generated_count=amount)
+        except ConfigError as err:
+            raise ConfigError(f"amount {amount}: {err}") from None
     out = Path(out_dir) if out_dir else None
     with run_record(cfg, out) as manifest:
         base = run_pipeline(cfg, out / "base" if out else None)

@@ -80,19 +80,21 @@ def _median_width(d2: np.ndarray) -> float:
 def check_bandwidth(bandwidth: Bandwidth) -> float | None:
     """The fixed RBF width `bandwidth` names, or None for "median".
 
-    A fixed width is a positive finite number or text that parses as one;
-    any other value is a ContractError.
+    A fixed width is a positive finite number, or text that parses as one,
+    whose kernel denominator 2*bandwidth**2 is positive and finite too; any
+    other value is a ContractError.
     """
     if bandwidth == "median":
         return None
     try:
         bw = float(bandwidth)
-        valid = np.isfinite(bw) and bw > 0
+        valid = 0.0 < 2.0 * bw * bw < np.inf and bw > 0
     except (TypeError, ValueError):
         valid = False
     if not valid:
         raise ContractError(
-            f"bandwidth must be 'median' or a positive finite number, got {bandwidth!r}")
+            f"bandwidth must be 'median' or a positive finite number whose "
+            f"2*bandwidth**2 is positive and finite, got {bandwidth!r}")
     return bw
 
 

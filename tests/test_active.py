@@ -9,7 +9,7 @@ from softaug import active
 from softaug.active import (ClusterResult, SelectionState, _pool_dists,
                             _sq_dists, igs_score, init_select, silhouette_mean)
 from softaug.data import TabularDataset
-from softaug.errors import BudgetError, ContractError, DegeneracyError
+from softaug.errors import BudgetError, ContractError, DataError, DegeneracyError
 from softaug.regress import KernelRidgeRegressor, RegressorSpec
 from softaug.rng import derive_seed
 
@@ -442,3 +442,25 @@ def test_budget_overdraft_and_tiny_pool_errors():
         run_active_selection(pool, lambda i: 0.0, LabelBudget(2, 4), seed=0)
     with pytest.raises(BudgetError):
         run_active_selection(pool, lambda i: 0.0, LabelBudget(None, 3), seed=0)
+
+
+def test_selection_refuses_features_whose_distances_overflow():
+    rng = np.random.default_rng(31)
+    x = rng.uniform(size=(30, 3))
+    labels = rng.uniform(size=30)
+
+    def select(features):
+        return run_active_selection(_pool(features, labels), lambda i: float(labels[i]),
+                                    LabelBudget(3, 8), seed=4)
+
+    # an exact power-of-two scale leaves every selection quantity finite
+    plain, big = select(x), select(x * [1.0, 2.0 ** 500, 1.0])
+    for _, records in (plain, big):
+        assert len(records) == 5
+        assert np.all(np.isfinite([[r.d_x, r.d_y, r.r, r.score] for r in records]))
+    # a wide span overflows the pool sums; a large offset the kernel's norms
+    for features in (x * [1.0, 1e160, 1.0], x + [0.0, 1e160, 0.0]):
+        with pytest.raises(DataError, match=r"column\(s\) x2 reach \d"):
+            select(features)
+    # too few distinct rows is a data problem too
+    assert issubclass(DegeneracyError, DataError)

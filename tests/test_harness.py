@@ -15,7 +15,7 @@ from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
                              HYPER_HEADER, _PARSERS, _SCHEMA, RunManifest, _arm_rows,
-                             generate, rank_candidates, write_csv)
+                             choose_batch, generate, write_csv)
 from softaug.quality import mmd2
 from softaug.regress import Metrics
 from softaug.rgan import RganModel
@@ -188,6 +188,8 @@ def test_config_validation():
                           ({"bandwidth": "nan"}, "bandwidth"),
                           ({"bandwidth": "inf"}, "bandwidth"),
                           ({"bandwidth": "wide"}, "bandwidth"),
+                          ({"bandwidth": "1e-300"}, "bandwidth"),
+                          ({"bandwidth": "1e155"}, "bandwidth"),
                           ({"generated_count": -1}, "generated_count"),
                           ({"dataset_n": 0}, "dataset_n"),
                           ({"noise_sd": -1.0}, "noise_sd"),
@@ -195,6 +197,7 @@ def test_config_validation():
                           ({"noise_sd": inf}, "noise_sd"),
                           ({"ridge": nan}, "ridge"),
                           ({"ridge": -1.0}, "ridge"),
+                          ({"ridge": 0.0}, "ridge must be finite and > 0, got 0.0"),
                           ({"mlp_learning_rate": 0.0}, "mlp_learning_rate"),
                           ({"mlp_learning_rate": nan}, "mlp_learning_rate"),
                           ({"mlp_hidden": (16, 0)}, "mlp_hidden"),
@@ -220,7 +223,7 @@ def test_ranking_reads_the_config_bandwidth():
                                         ("x1", "x2")) for _ in range(3)]
     seen = []
     for text, bandwidth in (("median", "median"), ("0.5", 0.5)):
-        _, report = rank_candidates(_lean(bandwidth=text), train_n, batches)
+        _, report = choose_batch(_lean(bandwidth=text), train_n, batches)
         seen.append([q.mmd2 for q in report])
         assert seen[-1] == [max(mmd2(train_n, b, bandwidth), 0.0) for b in batches]
     assert seen[0] != seen[1]
@@ -536,7 +539,7 @@ def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
     # a plain seeded loop of single-bit flips inside the JSON header, each
     # re-signed so the digest passes: each file loads with a normalizer that
     # fits the model, or is a ContractError
-    from softaug.cli import _load_checkpoint
+    from softaug.harness import read_checkpoint
     from softaug.data import NormalizationSpec
 
     model = RganModel(2, replace(_lean().gan, noise_dim=2, trunk_width=3,
@@ -559,7 +562,7 @@ def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
         flipped[pos] ^= 1 << bit
         bad.write_bytes(resign_checkpoint(bytes(flipped)))
         try:
-            _, _, got = _load_checkpoint(bad)
+            _, got, _ = read_checkpoint(bad)
         except ContractError as err:
             assert str(bad) in str(err)
             outcomes["rejected"] += 1
@@ -640,7 +643,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (["sweep-amount", "--config", ini, "--amounts", "10,abc"], None, 2,
          "--amounts: expected an integer, got 'abc'"),
         (["sweep-amount", "--config", ini, "--amounts", "10,-5"], None, 2,
-         "--amounts: row counts must be >= 0, got -5"),
+         "amount -5: generated_count must be >= 0, got -5"),
         (["sweep-amount", "--config", ini, "--amounts", ","], None, 2,
          "--amounts: expected a comma-separated list of integers"),
         (["sweep-amount", "--config", ini, "--amounts", ""], None, 2,
@@ -659,3 +662,85 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         # one line per error; argparse adds its usage line
         one_line = len(stderr.splitlines()) == 1 or "unrecognized arguments" in stderr
         assert (got, fragment in stderr, one_line) == (code, True, True), (argv, stderr)
+
+
+def _csv_cells_finite(out):
+    """Every number in every CSV under `out` is finite; text cells are skipped."""
+    for path in sorted(out.rglob("*.csv")):
+        for line in path.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not np.isfinite(value):
+                    return f"{path.relative_to(out)}: {line}"
+    return None
+
+
+def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys):
+    # each probe exits 2 or 3 with one line and no gan phase on record, or
+    # exits 0 with every CSV value finite
+    rng = np.random.default_rng(11)
+
+    def pool_csv(name, x):
+        path = tmp_path / f"{name}.csv"
+        y = rng.uniform(size=len(x))
+        path.write_text("x1,x2,y\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                                              for (a, b), c in zip(x, y)))
+        return _lean(source="csv", csv_path=str(path), initial_count=0)
+
+    u = rng.uniform(size=(120, 2))
+    huge = pool_csv("huge", u * [1e160, 1.0])
+    one_row = pool_csv("one_row", np.repeat(u[:1], 120, axis=0))
+    few_rows = pool_csv("few_rows", u[np.arange(120) % 3])
+    twenty_rows = pool_csv("twenty_rows", u[np.arange(120) % 20])
+    ckpt = tmp_path / "trn" / "checkpoint.bin"
+    assert main(["train", "--config", _ini(tmp_path, _lean()),
+                 "--out", str(ckpt.parent)]) == 0
+    score = ["score", "--checkpoint", str(ckpt)]
+
+    def refused(key, value):
+        # a lean config with one value its dataclass would refuse to hold
+        lines = config_to_ini(_lean()).splitlines()
+        return "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                         for line in lines) + "\n"
+
+    # (name, command, config, extra flags, exit code, stderr fragment)
+    table = [
+        ("tiny-width", ["pipeline"], refused("bandwidth", "1e-300"), [], 2,
+         "2*bandwidth**2 is positive and finite, got '1e-300'"),
+        ("huge-width", ["pipeline"], refused("bandwidth", "1e155"), [], 2,
+         "2*bandwidth**2 is positive and finite, got '1e155'"),
+        ("zero-ridge", ["pipeline"], refused("ridge", "0"), [], 2,
+         "ridge must be finite and > 0, got 0.0"),
+        ("huge-features", ["pipeline"], huge, [], 3, "column(s) x1 reach"),
+        ("huge-features-select", ["select"], huge, [], 3, "column(s) x1 reach"),
+        ("one-distinct-row", ["pipeline"], one_row, [], 3, "pool has 1 distinct row(s)"),
+        ("three-distinct-rows", ["pipeline"], few_rows, [], 0, ""),
+        ("twenty-distinct-rows", ["pipeline"], twenty_rows, [], 0, ""),
+        ("amount-below-folds", ["sweep-amount"], _lean(), ["--amounts", "0,2,24"], 2,
+         "amount 2: generated_count 2 is below ds_folds 3"),
+        ("score-no-rows", score, _lean(generated_count=0), [], 2,
+         "generated_count must be >= 1 to rank batches, got 0"),
+        ("score-rows-below-folds", score, _lean(generated_count=2, select_best=False), [],
+         2, "generated_count 2 is below ds_folds 3"),
+    ]
+    for name, command, cfg, extra, code, fragment in table:
+        path = tmp_path / f"{name}.ini"
+        path.write_text(cfg if isinstance(cfg, str) else config_to_ini(cfg))
+        out = tmp_path / name
+        got = main([*command, "--config", str(path), "--out", str(out), *extra])
+        stderr = capsys.readouterr().err
+        assert (got, fragment in stderr) == (code, True), (name, stderr)
+        if code:
+            assert len(stderr.splitlines()) == 1, (name, stderr)
+            manifest = out / "manifest.json"
+            if manifest.exists():
+                phases = [p["name"] for p in json.loads(manifest.read_text())["phases"]]
+                assert "gan" not in phases, (name, phases)
+            assert not (out / "base").exists(), name
+        else:
+            assert _csv_cells_finite(out) is None, (name, _csv_cells_finite(out))

@@ -125,7 +125,8 @@ def test_duplicate_rows_with_zero_ridge_raise_conditioning_error():
 
 
 def test_negative_bandwidth_rejected():
-    for bad in (-2.0, 0.0, float("nan"), float("inf"), "-inf", "wide"):
+    # 2 * bw**2 underflows to 0 at 1e-300 and overflows at 1e155
+    for bad in (-2.0, 0.0, float("nan"), float("inf"), "-inf", "wide", 1e-300, 1e155, "1e155"):
         model = KernelRidgeRegressor(RegressorSpec(bandwidth=bad))
         with pytest.raises(ContractError, match="positive"):
             model.fit(np.zeros((3, 1)), np.zeros(3))
