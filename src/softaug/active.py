@@ -64,20 +64,16 @@ class AcquisitionRecord:
 
 # ------------------------------------------------------------------ k-means
 
-def kmeans(points: np.ndarray, k: int, seed: int, distinct: int | None = None) -> ClusterResult:
+def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterResult:
     """Seeded k-means++ start, Lloyd iterations to a 1e-6 shift or 100 rounds.
 
-    `distinct` is the number of distinct rows of `points` when the caller
-    has already counted them; otherwise it is counted here.
+    A k above the number of distinct rows is a DegeneracyError, raised by
+    the k-means++ start once every row lies on a chosen centroid.
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    if distinct is None:
-        distinct = np.unique(points, axis=0).shape[0]
-    if k > distinct:
-        raise DegeneracyError(f"k={k} exceeds {distinct} distinct points")
     rng = SeededRng(seed)
     centroids = _kmeans_pp(points, k, rng)
     for _ in range(LLOYD_MAX_ITER):
@@ -125,17 +121,15 @@ def _pool_dists(points: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp(points: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     m = points.shape[0]
-    first = int(rng.integers(0, m, 1)[0])
-    centroids = [points[first]]
+    if m == 0:
+        raise DegeneracyError(f"k={k} exceeds 0 distinct points")
+    centroids = [points[int(rng.integers(0, m, 1)[0])]]
     for _ in range(1, k):
         d2 = np.min(_sq_dists(points, np.array(centroids)), axis=1)
         if d2.sum() <= 0.0:
-            # all mass on existing centroids; take the first uncovered point
-            remaining = np.where(d2 > 0)[0]
-            pick = int(remaining[0]) if len(remaining) else first
-        else:
-            pick = rng.choice_index(d2)
-        centroids.append(points[pick])
+            # every point lies on a centroid, and each pick had d2 > 0
+            raise DegeneracyError(f"k={k} exceeds {len(centroids)} distinct points")
+        centroids.append(points[rng.choice_index(d2)])
     return np.array(centroids)
 
 
@@ -173,13 +167,12 @@ def choose_k(points: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
     return _choose_k(points, _pool_dists(points), k_lo, k_hi, seed)
 
 
-def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed: int,
-              distinct: int | None = None) -> int:
+def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed: int) -> int:
     if k_lo < 2 or k_hi < k_lo:
         raise ContractError(f"need 2 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     best_k, best_s = None, -np.inf
     for k in range(k_lo, k_hi + 1):
-        result = kmeans(points, k, derive_seed(seed, f"kmeans:{k}"), distinct)
+        result = kmeans(points, k, derive_seed(seed, f"kmeans:{k}"))
         s = _silhouette(dists, result.assignments)
         if s > best_s:
             best_k, best_s = k, s
@@ -214,11 +207,12 @@ def igs_score(state: SelectionState, pool: np.ndarray) -> np.ndarray:
     dists = _pool_dists(pool)
     r = dists.sum(axis=1)                              # over the whole pool
     d_x = dists[:, state.labeled].min(axis=1)
-    return _igs_scores(state, pool, r, d_x)
+    return _igs_scores(state, pool, r, d_x)[0]
 
 
 def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
-                d_x: np.ndarray) -> np.ndarray:
+                d_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and the d_y they were computed from."""
     labeled_idx = np.asarray(state.labeled, dtype=int)
     labeled_y = np.array([state.labels[i] for i in state.labeled])
     preds = np.asarray(state.model.predict(pool), dtype=float)
@@ -228,17 +222,7 @@ def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
     mask = r > 0.0
     scores[mask] = d_x[mask] * d_y[mask] / r[mask]
     scores[labeled_idx] = 0.0
-    return scores
-
-
-def _score_components(state: SelectionState, pool: np.ndarray, index: int) -> tuple[float, float, float]:
-    labeled_idx = np.asarray(state.labeled, dtype=int)
-    x = pool[index]
-    d_x = float(np.sqrt(np.sum((pool[labeled_idx] - x) ** 2, axis=1)).min())
-    pred = float(np.asarray(state.model.predict(pool[index:index + 1]))[0])
-    d_y = float(min(abs(pred - state.labels[i]) for i in state.labeled))
-    r = float(np.sqrt(np.sum((pool - x) ** 2, axis=1)).sum())
-    return d_x, d_y, r
+    return scores, d_y
 
 
 def run_active_selection(
@@ -261,7 +245,6 @@ def run_active_selection(
     _check_scale(points, pool.columns)
     spec = regressor_spec or RegressorSpec(kind="kernel-ridge")
     dists = _pool_dists(points)
-    distinct = None
     if budget.initial is None:
         if m // 2 < 2:
             raise BudgetError(f"pool of {m} is too small to choose an initial count")
@@ -270,12 +253,12 @@ def run_active_selection(
             raise DegeneracyError(
                 f"pool has {distinct} distinct row(s); choosing an initial count needs 2")
         k_hi = min(10, m // 2, distinct)
-        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"), distinct)
+        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"))
     else:
         m0 = budget.initial
     m0 = min(m0, budget.total)
 
-    clusters = kmeans(points, m0, derive_seed(seed, "kmeans"), distinct)
+    clusters = kmeans(points, m0, derive_seed(seed, "kmeans"))
     labeled = init_select(points, clusters)
     state = SelectionState(labeled=list(labeled))
     for i in state.labeled:
@@ -287,12 +270,12 @@ def run_active_selection(
     step = len(state.labeled)
     while len(state.labeled) < budget.total:
         state.model = _fit_selection_model(spec, points, state)
-        scores = _igs_scores(state, points, r, d_x)
+        scores, d_y = _igs_scores(state, points, r, d_x)
         unlabeled = np.setdiff1d(np.arange(m), np.asarray(state.labeled, dtype=int))
         best = int(unlabeled[np.argmax(scores[unlabeled])])   # ties: lowest index
         step += 1
-        records.append(AcquisitionRecord(step, best, *_score_components(state, points, best),
-                                         float(scores[best])))
+        records.append(AcquisitionRecord(step, best, float(d_x[best]), float(d_y[best]),
+                                         float(r[best]), float(scores[best])))
         state.labeled.append(best)
         state.labels[best] = float(oracle(best))
         d_x = np.minimum(d_x, dists[:, best])

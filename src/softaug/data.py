@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BudgetError, CatalogError, ContractError, ParseError,
+from .errors import (BudgetError, CatalogError, ContractError, DataError, ParseError,
                      SchemaError, ShapeError)
 from .rng import SeededRng
 
@@ -95,11 +95,14 @@ def load_csv(path, label_column: str) -> TabularDataset:
     if not rows:
         raise SchemaError(f"{path}: no header row")
     header = [c.strip() for c in rows[0]]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: header repeats column(s) {', '.join(map(repr, repeated))}")
     if label_column not in header:
         raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
     label_idx = header.index(label_column)
     feat_names = tuple(c for i, c in enumerate(header) if i != label_idx)
-    feats, labels = [], []
+    table = []
     for rnum, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: row {rnum} has {len(row)} cells, expected {len(header)}")
@@ -119,11 +122,18 @@ def load_csv(path, label_column: str) -> TabularDataset:
                 raise ParseError(
                     f"{path}: row {rnum}, column {header[cnum]!r}: non-finite value")
             vals.append(v)
-        labels.append(vals.pop(label_idx))
-        feats.append(vals)
-    return TabularDataset(np.array(feats).reshape(len(feats), len(feat_names)),
-                          np.array(labels), feat_names,
-                          label_name=label_column, provenance="real")
+        table.append(vals)
+    table = np.array(table).reshape(len(table), len(header))
+    if len(table):
+        # min-max normalization and the selection distances take max - min
+        with np.errstate(over="ignore"):
+            span = table.max(axis=0) - table.min(axis=0)
+        wide = [c for c, s in zip(header, span) if not np.isfinite(s)]
+        if wide:
+            raise DataError(f"{path}: column(s) {', '.join(wide)} span more than the "
+                            f"largest float; rescale them")
+    return TabularDataset(np.delete(table, label_idx, axis=1), table[:, label_idx],
+                          feat_names, label_name=label_column, provenance="real")
 
 
 def save_csv(ds: TabularDataset, path) -> None:

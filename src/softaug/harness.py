@@ -87,9 +87,12 @@ class ExperimentConfig:
             if self.select_best and 0 < rows < self.ds_folds:
                 raise ConfigError(f"{name} {rows} is below ds_folds {self.ds_folds}; "
                                   f"the batch ranking needs a row per fold")
-        for name in ("generated_count", "initial_count", "mlp_epochs"):
+        for name in ("generated_count", "mlp_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.initial_count and not 2 <= self.initial_count <= self.train_count:
+            raise ConfigError(f"initial_count must be 0 or within [2, train_count "
+                              f"{self.train_count}], got {self.initial_count}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden sizes must be >= 1, got {self.mlp_hidden}")
         check_finite("noise_sd", self.noise_sd)

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite differences, kink-safe toy models, checkpoints."""
+"""Shared test helpers: finite differences, kink-safe toy models, checkpoints,
+the brute-force greedy acquisition oracle."""
 import hashlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from softaug import SeededRng
 from softaug.layers import SLOPE
+from softaug.regress import KernelRidgeRegressor
 
 
 def central_difference(loss_fn, params, step=1e-5):
@@ -79,6 +81,35 @@ def kink_safe_seed(check, start, limit=50):
         if check(seed):
             return seed
     raise AssertionError(f"no kink-safe seed in [{start}, {start + limit})")
+
+
+def brute_force_greedy(pool, initial, total, spec):
+    """Literal greedy acquisition loop: python loops, refit after every step."""
+    points = pool.features
+    m = points.shape[0]
+    labeled = list(initial)
+    labels = {i: float(pool.labels[i]) for i in labeled}
+    sequence = []
+    while len(labeled) < total:
+        model = KernelRidgeRegressor(spec).fit(
+            points[np.array(labeled)], np.array([labels[i] for i in labeled]))
+        best_index, best_score = None, -1.0
+        for n in range(m):
+            if n in labeled:
+                continue
+            d_x = min(float(np.sqrt(np.sum((points[n] - points[j]) ** 2)))
+                      for j in labeled)
+            pred = float(model.predict(points[n:n + 1])[0])
+            d_y = min(abs(pred - labels[j]) for j in labeled)
+            r = sum(float(np.sqrt(np.sum((points[n] - points[i]) ** 2)))
+                    for i in range(m))
+            score = 0.0 if r == 0.0 else d_x * d_y / r
+            if score > best_score:
+                best_index, best_score = n, score
+        sequence.append(best_index)
+        labeled.append(best_index)
+        labels[best_index] = float(pool.labels[best_index])
+    return sequence
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import (central_difference, kink_safe_seed, leaky_margin,
-                      max_relative_error)
+from conftest import (brute_force_greedy, central_difference, kink_safe_seed,
+                      leaky_margin, max_relative_error)
 
 from softaug import (ExperimentConfig, GanConfig, RganModel, SeededRng,
                      generate, run_pipeline, train)
@@ -24,7 +24,7 @@ from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
 from softaug.layers import SLOPE
 from softaug.quality import diversity_score, mmd2
-from softaug.regress import KernelRidgeRegressor, RegressorSpec
+from softaug.regress import RegressorSpec
 from softaug.rgan import critic_regressor_loss, generator_loss
 from softaug.rng import derive_seed, gaussian_noise
 
@@ -178,35 +178,6 @@ def test_criterion_02_plain_adversarial_loss_parity():
 
 # ----------------------------------------------------- 3: acquisition oracle
 
-def _literal_greedy(pool, initial, total, spec):
-    """Brute-force acquisition loop: python loops, refit every step."""
-    points = pool.features
-    m = points.shape[0]
-    labeled = list(initial)
-    labels = {i: float(pool.labels[i]) for i in labeled}
-    sequence = []
-    while len(labeled) < total:
-        model = KernelRidgeRegressor(spec).fit(
-            points[np.array(labeled)], np.array([labels[i] for i in labeled]))
-        best_index, best_score = None, -1.0
-        for n in range(m):
-            if n in labeled:
-                continue
-            d_x = min(float(np.sqrt(np.sum((points[n] - points[j]) ** 2)))
-                      for j in labeled)
-            pred = float(model.predict(points[n:n + 1])[0])
-            d_y = min(abs(pred - labels[j]) for j in labeled)
-            r = sum(float(np.sqrt(np.sum((points[n] - points[i]) ** 2)))
-                    for i in range(m))
-            score = 0.0 if r == 0.0 else d_x * d_y / r
-            if score > best_score:
-                best_index, best_score = n, score
-        sequence.append(best_index)
-        labeled.append(best_index)
-        labels[best_index] = float(pool.labels[best_index])
-    return sequence
-
-
 def test_criterion_03_acquisition_matches_brute_force():
     t0 = time.perf_counter()
     cases = [(12, 1, 2, 6), (16, 2, 3, 8), (20, 2, 3, 10), (23, 3, 4, 9),
@@ -221,7 +192,7 @@ def test_criterion_03_acquisition_matches_brute_force():
         _, records = run_active_selection(
             pool, lambda i: float(pool.labels[i]), LabelBudget(k_init, total),
             seed=k)
-        want = _literal_greedy(pool, initial, total, RegressorSpec())
+        want = brute_force_greedy(pool, initial, total, RegressorSpec())
         all_match = all_match and [r.index for r in records] == want
     elapsed = time.perf_counter() - t0
     ok = all_match and elapsed < 10.0

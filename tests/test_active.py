@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import brute_force_greedy
+
 from softaug import LabelBudget, choose_k, kmeans, run_active_selection
 from softaug import active
 from softaug.active import (ClusterResult, SelectionState, _pool_dists,
@@ -98,19 +100,18 @@ def test_kmeans_deterministic_and_validates_k():
         kmeans(points, 0, seed=7)
 
 
-def test_kmeans_given_the_distinct_count_matches_counting_it():
+def test_kmeans_refuses_more_clusters_than_distinct_rows():
+    # k-means++ runs out of points off its centroids exactly at the distinct count
     rng = np.random.default_rng(12)
     points = np.vstack([rng.normal(size=(30, 3)),
                         np.repeat(rng.normal(size=(1, 3)), 10, axis=0)])
-    distinct = np.unique(points, axis=0).shape[0]
-    assert distinct == 31
-    for k in (1, 3, 8, distinct):
-        a, b = kmeans(points, k, seed=k), kmeans(points, k, seed=k, distinct=distinct)
-        assert np.array_equal(a.centroids, b.centroids)
-        assert np.array_equal(a.assignments, b.assignments)
-        assert a.inertia == b.inertia
-    with pytest.raises(DegeneracyError, match="32 exceeds 31 distinct"):
-        kmeans(points, distinct + 1, seed=0, distinct=distinct)
+    assert np.unique(points, axis=0).shape[0] == 31
+    assert len(np.unique(kmeans(points, 31, seed=0).assignments)) == 31
+    for rows, k, message in ((points, 32, "k=32 exceeds 31 distinct points"),
+                             (np.ones((6, 3)), 2, "k=2 exceeds 1 distinct points"),
+                             (np.empty((0, 3)), 1, "k=1 exceeds 0 distinct points")):
+        with pytest.raises(DegeneracyError, match=message):
+            kmeans(rows, k, seed=0)
 
 
 def test_kmeans_assigns_to_nearest_centroid():
@@ -327,35 +328,6 @@ def test_selection_is_deterministic():
     assert [r.__dict__ for r in rec_a] == [r.__dict__ for r in rec_b]
 
 
-def _naive_sequence(pool, initial, total, spec):
-    """Literal greedy loop: python loops, refit after every acquisition."""
-    points = pool.features
-    m = points.shape[0]
-    labeled = list(initial)
-    labels = {i: float(pool.labels[i]) for i in labeled}
-    sequence = []
-    while len(labeled) < total:
-        model = KernelRidgeRegressor(spec).fit(
-            points[np.array(labeled)], np.array([labels[i] for i in labeled]))
-        best_index, best_score = None, -1.0
-        for n in range(m):
-            if n in labeled:
-                continue
-            d_x = min(float(np.sqrt(np.sum((points[n] - points[j]) ** 2)))
-                      for j in labeled)
-            pred = float(model.predict(points[n:n + 1])[0])
-            d_y = min(abs(pred - labels[j]) for j in labeled)
-            r = sum(float(np.sqrt(np.sum((points[n] - points[i]) ** 2)))
-                    for i in range(m))
-            score = 0.0 if r == 0.0 else d_x * d_y / r
-            if score > best_score:
-                best_index, best_score = n, score
-        sequence.append(best_index)
-        labeled.append(best_index)
-        labels[best_index] = float(pool.labels[best_index])
-    return sequence
-
-
 def test_acquisition_matches_naive_greedy_oracle():
     rng = np.random.default_rng(29)
     pool = _pool(rng.uniform(size=(20, 2)), rng.uniform(size=20))
@@ -364,7 +336,7 @@ def test_acquisition_matches_naive_greedy_oracle():
     initial = init_select(pool.features, clusters)
     _, records = run_active_selection(
         pool, lambda i: float(pool.labels[i]), LabelBudget(3, 8), seed)
-    want = _naive_sequence(pool, initial, 8, RegressorSpec())
+    want = brute_force_greedy(pool, initial, 8, RegressorSpec())
     assert [rec.index for rec in records] == want
 
 
@@ -397,9 +369,9 @@ def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
     inner = active._igs_scores
 
     def recording(state, points, r, d_x):
-        scores = inner(state, points, r, d_x)
+        scores, d_y = inner(state, points, r, d_x)
         seen.append((list(state.labeled), dict(state.labels), state.model, scores))
-        return scores
+        return scores, d_y
 
     monkeypatch.setattr(active, "_igs_scores", recording)
     run_active_selection(pool, lambda i: float(pool.labels[i]), LabelBudget(3, 9), seed=7)
@@ -408,6 +380,17 @@ def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
     for labeled, labels, model, scores in seen:
         state = SelectionState(labeled=labeled, labels=labels, model=model)
         assert np.array_equal(scores, igs_score(state, pool.features))
+
+
+def test_records_hold_the_components_that_produced_each_score():
+    # a pool spanning several distance blocks; each record's score is
+    # recomputed from its own fields with the same float operations
+    rng = np.random.default_rng(47)
+    pool = _pool(rng.uniform(size=(300, 10)), rng.uniform(size=300))
+    _, records = run_active_selection(pool, lambda i: float(pool.labels[i]),
+                                      LabelBudget(3, 40), seed=9)
+    assert len(records) == 37
+    assert [r.score for r in records] == [r.d_x * r.d_y / r.r for r in records]
 
 
 def test_auto_initial_count_capped_at_distinct_rows():
@@ -420,20 +403,6 @@ def test_auto_initial_count_capped_at_distinct_rows():
     same = _pool(np.zeros((60, 2)), np.zeros(60))
     with pytest.raises(DegeneracyError, match="1 distinct"):
         run_active_selection(same, lambda i: 0.0, LabelBudget(None, 10), seed=0)
-
-
-def test_selection_counts_distinct_rows_once_for_every_kmeans(monkeypatch):
-    base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
-    pool = _pool(np.repeat(base, 15, axis=0), np.repeat([0.0, 1.0, 2.0, 3.0], 15))
-    given, inner = [], active.kmeans
-
-    def recording(points, k, seed, distinct=None):
-        given.append(distinct)
-        return inner(points, k, seed, distinct)
-
-    monkeypatch.setattr(active, "kmeans", recording)
-    run_active_selection(pool, lambda i: float(pool.labels[i]), LabelBudget(None, 8), seed=0)
-    assert given == [4] * 4          # k = 2, 3, 4 for the silhouette, then the warm start
 
 
 def test_budget_overdraft_and_tiny_pool_errors():

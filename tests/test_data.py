@@ -6,7 +6,7 @@ from softaug import (NormalizationSpec, SplitSpec, TabularDataset, concat,
                      apply_normalizer, fit_normalizer, invert_normalizer,
                      load_csv, save_csv, split, synth_make, synth_names)
 from softaug.data import synth_truth
-from softaug.errors import (BudgetError, CatalogError, ContractError,
+from softaug.errors import (BudgetError, CatalogError, ContractError, DataError,
                             ParseError, SchemaError, ShapeError)
 
 
@@ -86,6 +86,14 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(p, "y")
     p.write_text("a,y\n1,inf\n")
     with pytest.raises(ParseError):
+        load_csv(p, "y")
+    # a repeated name would turn the second label column into a feature
+    p.write_text("a,y,y\n1,2,3\n")
+    with pytest.raises(SchemaError, match="header repeats column\\(s\\) 'y'"):
+        load_csv(p, "y")
+    # finite cells whose max - min overflows, in a feature and the label
+    p.write_text("a,b,y\n-1e308,0,-1.5e308\n1e308,1,1.5e308\n")
+    with pytest.raises(DataError, match=r"column\(s\) a, y span more than the largest float"):
         load_csv(p, "y")
 
 

@@ -191,6 +191,9 @@ def test_config_validation():
                           ({"bandwidth": "1e-300"}, "bandwidth"),
                           ({"bandwidth": "1e155"}, "bandwidth"),
                           ({"generated_count": -1}, "generated_count"),
+                          ({"initial_count": -1}, r"initial_count must be 0 or within \[2, "),
+                          ({"initial_count": 1}, r"train_count 50\], got 1"),
+                          ({"initial_count": 51}, r"train_count 50\], got 51"),
                           ({"dataset_n": 0}, "dataset_n"),
                           ({"noise_sd": -1.0}, "noise_sd"),
                           ({"noise_sd": nan}, "noise_sd"),
@@ -213,7 +216,8 @@ def test_config_validation():
     for good in ({"generated_count": 0},
                  {"generated_count": 3, "select_best": False},
                  {"train_count": 4, "ds_folds": 5, "select_best": False},
-                 {"train_count": 5, "generated_count": 5}):
+                 {"train_count": 5, "generated_count": 5},
+                 {"initial_count": 2}, {"initial_count": 50}):
         ExperimentConfig(**good)
 
 
@@ -680,23 +684,30 @@ def _csv_cells_finite(out):
     return None
 
 
-def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys):
+def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, recwarn):
     # each probe exits 2 or 3 with one line and no gan phase on record, or
-    # exits 0 with every CSV value finite
+    # exits 0 with every CSV value finite; none warns (pytest records a
+    # warning instead of printing it, so the one-line check cannot see it)
     rng = np.random.default_rng(11)
 
-    def pool_csv(name, x):
+    def pool_csv(name, x, y=None, header="x1,x2,y", **overrides):
         path = tmp_path / f"{name}.csv"
-        y = rng.uniform(size=len(x))
-        path.write_text("x1,x2,y\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
-                                              for (a, b), c in zip(x, y)))
-        return _lean(source="csv", csv_path=str(path), initial_count=0)
+        y = rng.uniform(size=len(x)) if y is None else y
+        path.write_text(f"{header}\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                                                for (a, b), c in zip(x, y)))
+        return _lean(source="csv", csv_path=str(path), **{"initial_count": 0, **overrides})
 
     u = rng.uniform(size=(120, 2))
     huge = pool_csv("huge", u * [1e160, 1.0])
     one_row = pool_csv("one_row", np.repeat(u[:1], 120, axis=0))
     few_rows = pool_csv("few_rows", u[np.arange(120) % 3])
     twenty_rows = pool_csv("twenty_rows", u[np.arange(120) % 20])
+    repeated_label = pool_csv("repeated_label", u, header="x1,y,y")
+    # each label is finite, but max - min is beyond the largest float
+    huge_labels = 1.26e308 * np.sin(np.arange(120))
+    wide_labels = pool_csv("wide_labels", u, huge_labels)
+    wide_labels_random = pool_csv("wide_labels_random", u, huge_labels, active_enabled=False)
+    few_rows_k5 = pool_csv("few_rows_k5", u[np.arange(120) % 3], initial_count=5)
     ckpt = tmp_path / "trn" / "checkpoint.bin"
     assert main(["train", "--config", _ini(tmp_path, _lean()),
                  "--out", str(ckpt.parent)]) == 0
@@ -720,7 +731,19 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys):
         ("huge-features-select", ["select"], huge, [], 3, "column(s) x1 reach"),
         ("one-distinct-row", ["pipeline"], one_row, [], 3, "pool has 1 distinct row(s)"),
         ("three-distinct-rows", ["pipeline"], few_rows, [], 0, ""),
+        ("three-distinct-rows-initial-5", ["pipeline"], few_rows_k5, [], 3,
+         "k=5 exceeds 3 distinct points"),
         ("twenty-distinct-rows", ["pipeline"], twenty_rows, [], 0, ""),
+        ("repeated-header", ["pipeline"], repeated_label, [], 3,
+         "header repeats column(s) 'y'"),
+        ("wide-labels", ["pipeline"], wide_labels, [], 3,
+         "column(s) y span more than the largest float"),
+        ("wide-labels-random", ["pipeline"], wide_labels_random, [], 3,
+         "column(s) y span more than the largest float"),
+        ("initial-one", ["pipeline"], refused("initial_count", "1"), [], 2,
+         "initial_count must be 0 or within [2, train_count 16], got 1"),
+        ("initial-above-budget", ["pipeline"], refused("initial_count", "17"), [], 2,
+         "initial_count must be 0 or within [2, train_count 16], got 17"),
         ("amount-below-folds", ["sweep-amount"], _lean(), ["--amounts", "0,2,24"], 2,
          "amount 2: generated_count 2 is below ds_folds 3"),
         ("score-no-rows", score, _lean(generated_count=0), [], 2,
@@ -735,6 +758,7 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys):
         got = main([*command, "--config", str(path), "--out", str(out), *extra])
         stderr = capsys.readouterr().err
         assert (got, fragment in stderr) == (code, True), (name, stderr)
+        assert not recwarn.list, (name, [str(w.message) for w in recwarn.list])
         if code:
             assert len(stderr.splitlines()) == 1, (name, stderr)
             manifest = out / "manifest.json"
