@@ -30,6 +30,8 @@ from .rng import SeededRng, derive_seed
 
 LLOYD_TOL = 1e-6
 LLOYD_MAX_ITER = 100
+# float64 values in one (rows, m, d) difference block of `_pool_dists` (256 KB)
+POOL_BLOCK = 1 << 15
 
 
 @dataclass
@@ -102,20 +104,22 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterResult:
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    np.multiply(diff, diff, out=diff)
+    return np.sum(diff, axis=2)
 
 
 def _pool_dists(points: np.ndarray) -> np.ndarray:
     """Euclidean (m, m) distances, equal to `np.sqrt(_sq_dists(p, p))`.
 
-    Built in blocks of at most m // d rows, so no block's (rows, m, d)
-    temporary is larger than the (m, m) result it fills.
+    Built in blocks of as many rows as keep a block's (rows, m, d)
+    difference within POOL_BLOCK values (one row at least), so the (m, m)
+    result is the only array that grows with m squared.
     """
     m, d = points.shape
-    rows = max(1, m // max(d, 1))
+    rows = max(1, POOL_BLOCK // max(m * d, 1))
     dists = np.empty((m, m))
     for start in range(0, m, rows):
-        dists[start:start + rows] = np.sqrt(_sq_dists(points[start:start + rows], points))
+        np.sqrt(_sq_dists(points[start:start + rows], points), out=dists[start:start + rows])
     return dists
 
 

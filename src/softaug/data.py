@@ -100,6 +100,9 @@ def load_csv(path, label_column: str) -> TabularDataset:
         raise SchemaError(f"{path}: header repeats column(s) {', '.join(map(repr, repeated))}")
     if label_column not in header:
         raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
+    if len(header) == 1:
+        raise SchemaError(f"{path}: no feature column besides the label column "
+                          f"{label_column!r}")
     label_idx = header.index(label_column)
     feat_names = tuple(c for i, c in enumerate(header) if i != label_idx)
     table = []

@@ -101,6 +101,8 @@ class ExperimentConfig:
         for m in self.models:
             if m not in ("kernel-ridge", "mlp"):
                 raise ConfigError(f"unknown downstream model {m!r}")
+            if self.models.count(m) > 1:
+                raise ConfigError(f"downstream model {m!r} is listed more than once")
         try:
             check_bandwidth(self.bandwidth)
         except ContractError as err:

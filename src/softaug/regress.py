@@ -70,10 +70,10 @@ def _median_width(d2: np.ndarray) -> float:
     upper = d2[~np.tri(n, dtype=bool)]
     half = upper.size // 2
     middle = [half - 1, half] if upper.size % 2 == 0 else [half]
-    part = np.partition(upper, [*middle, -1])     # NaNs sort last, as in np.median
-    if np.isnan(part[-1]):
+    upper.partition([*middle, -1])                # NaNs sort last, as in np.median
+    if np.isnan(upper[-1]):
         return 1.0
-    med = float(np.median(np.sqrt(part[middle])))
+    med = float(np.median(np.sqrt(upper[middle])))
     return med if med > 0.0 else 1.0
 
 
@@ -105,7 +105,13 @@ def _resolve_bandwidth(bandwidth: Bandwidth, rows: np.ndarray) -> float:
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-squared_distances(a, b) / (2.0 * sigma * sigma))
+    return _rbf_in_place(squared_distances(a, b), sigma)
+
+
+def _rbf_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d2 / (2 sigma^2)), written over d2's own buffer."""
+    np.divide(d2, -(2.0 * sigma * sigma), out=d2)
+    return np.exp(d2, out=d2)
 
 
 def _cholesky_solve(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,7 +154,7 @@ class KernelRidgeRegressor:
         d2 = squared_distances(x, x)
         bw = check_bandwidth(self.spec.bandwidth)
         self.sigma = _median_width(d2) if bw is None else bw
-        gram = np.exp(-d2 / (2.0 * self.sigma * self.sigma))
+        gram = _rbf_in_place(d2, self.sigma)
         gram[np.diag_indices_from(gram)] += self.spec.ridge
         try:
             chol = np.linalg.cholesky(gram)

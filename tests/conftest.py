@@ -1,6 +1,7 @@
 """Shared test helpers: finite differences, kink-safe toy models, checkpoints,
-the brute-force greedy acquisition oracle."""
+the brute-force greedy acquisition oracle, traced peak memory."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,26 @@ def brute_force_greedy(pool, initial, total, spec):
         labeled.append(best_index)
         labels[best_index] = float(pool.labels[best_index])
     return sequence
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while `fn()` runs, above what was held before.
+
+    numpy reports its data buffers to tracemalloc, so every array counts;
+    memory a library allocates by itself, such as LAPACK's workspace, does
+    not.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture

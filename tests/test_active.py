@@ -4,11 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import brute_force_greedy
+from conftest import brute_force_greedy, traced_peak
 
 from softaug import LabelBudget, choose_k, kmeans, run_active_selection
 from softaug import active
-from softaug.active import (ClusterResult, SelectionState, _pool_dists,
+from softaug.active import (POOL_BLOCK, ClusterResult, SelectionState, _pool_dists,
                             _sq_dists, igs_score, init_select, silhouette_mean)
 from softaug.data import TabularDataset
 from softaug.errors import BudgetError, ContractError, DataError, DegeneracyError
@@ -183,9 +183,26 @@ def test_choose_k_tie_prefers_smaller_k():
 
 
 def test_pool_dists_blocks_equal_one_shot_arithmetic():
-    # 300 x 10 is built in ten 30-row blocks
-    points = np.random.default_rng(41).uniform(size=(300, 10))
-    assert np.array_equal(_pool_dists(points), np.sqrt(_sq_dists(points, points)))
+    rng = np.random.default_rng(41)
+    # (m, d, rows per block): 300 x 10 in thirty 10-row blocks; 317 x 10 in
+    # thirty-one 10-row blocks and a ragged last block of 7 rows; 40 x 1000
+    # has m * d above POOL_BLOCK, so every block is one row
+    for m, d, rows in ((300, 10, 10), (317, 10, 10), (40, 1000, 1)):
+        assert max(1, POOL_BLOCK // (m * d)) == rows
+        points = rng.uniform(size=(m, d))
+        diff = points[:, None, :] - points[None, :, :]
+        one_shot = np.sqrt(np.sum(diff * diff, axis=2))
+        assert np.array_equal(_pool_dists(points), one_shot), (m, d)
+        assert np.array_equal(np.sqrt(_sq_dists(points, points)), one_shot), (m, d)
+
+
+def test_pool_dists_peak_is_the_result_plus_two_blocks():
+    # a block's difference is squared in place, so the peak is the (m, m)
+    # result, one difference block and its row sums; blocks of m // d rows
+    # would peak at 3.1 times the result
+    m = 1000
+    points = np.random.default_rng(5).uniform(size=(m, 10))
+    assert traced_peak(lambda: _pool_dists(points)) <= m * m * 8 + 2 * POOL_BLOCK * 8
 
 
 def test_choose_k_rejects_bad_range():

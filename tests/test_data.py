@@ -75,6 +75,11 @@ def test_load_csv_error_cases(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(SchemaError, match="'y'"):
         load_csv(p, "y")
+    # the label alone leaves no feature to learn from
+    p.write_text("y\n1\n2\n")
+    with pytest.raises(SchemaError, match="bad.csv: no feature column besides the label "
+                                          "column 'y'"):
+        load_csv(p, "y")
     p.write_text("a,y\n1\n")
     with pytest.raises(ParseError, match="row 2"):
         load_csv(p, "y")

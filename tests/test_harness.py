@@ -183,6 +183,8 @@ def test_config_validation():
                           ({"source": "csv"}, "dataset.path"),
                           ({"test_count": 0}, "test_count"),
                           ({"models": ("forest",)}, "forest"),
+                          ({"models": ("mlp", "mlp", "kernel-ridge")},
+                           "downstream model 'mlp' is listed more than once"),
                           ({"bandwidth": "-2"}, "bandwidth"),
                           ({"bandwidth": "0"}, "bandwidth"),
                           ({"bandwidth": "nan"}, "bandwidth"),
@@ -708,6 +710,10 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     wide_labels = pool_csv("wide_labels", u, huge_labels)
     wide_labels_random = pool_csv("wide_labels_random", u, huge_labels, active_enabled=False)
     few_rows_k5 = pool_csv("few_rows_k5", u[np.arange(120) % 3], initial_count=5)
+    label_only = tmp_path / "label_only.csv"
+    label_only.write_text("y\n" + "".join(f"{v:.17g}\n" for v in rng.uniform(size=120)))
+    label_only_active = _lean(source="csv", csv_path=str(label_only), initial_count=0)
+    label_only_random = replace(label_only_active, active_enabled=False)
     ckpt = tmp_path / "trn" / "checkpoint.bin"
     assert main(["train", "--config", _ini(tmp_path, _lean()),
                  "--out", str(ckpt.parent)]) == 0
@@ -740,6 +746,12 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "column(s) y span more than the largest float"),
         ("wide-labels-random", ["pipeline"], wide_labels_random, [], 3,
          "column(s) y span more than the largest float"),
+        ("label-only", ["pipeline"], label_only_active, [], 3,
+         "label_only.csv: no feature column besides the label column 'y'"),
+        ("label-only-random", ["pipeline"], label_only_random, [], 3,
+         "label_only.csv: no feature column besides the label column 'y'"),
+        ("repeated-model", ["pipeline"], refused("models", "mlp, mlp, kernel-ridge"), [], 2,
+         "downstream model 'mlp' is listed more than once"),
         ("initial-one", ["pipeline"], refused("initial_count", "1"), [], 2,
          "initial_count must be 0 or within [2, train_count 16], got 1"),
         ("initial-above-budget", ["pipeline"], refused("initial_count", "17"), [], 2,

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from softaug import Metrics, RegressorSpec, evaluate, fit
 from softaug.data import TabularDataset
 from softaug.errors import ConditioningError, ContractError
@@ -76,6 +77,73 @@ def test_median_bandwidth_equals_the_full_median_bit_for_bit():
     cases.append(with_nan)
     for rows in cases:
         assert median_bandwidth(rows) == _full_median(rows), rows
+
+
+def _new_array_rbf(a, b, sigma):
+    """The kernel with a new array at every step, as first written."""
+    return np.exp(-squared_distances(a, b) / (2.0 * sigma * sigma))
+
+
+def _copy_partition_median(d2):
+    """The partition median over a partitioned copy of the upper triangle."""
+    n = d2.shape[0]
+    if n < 2:
+        return 1.0
+    upper = d2[~np.tri(n, dtype=bool)]
+    half = upper.size // 2
+    middle = [half - 1, half] if upper.size % 2 == 0 else [half]
+    part = np.partition(upper, [*middle, -1])
+    med = float(np.median(np.sqrt(part[middle])))
+    return med if med > 0.0 else 1.0
+
+
+def _kernel_ridge_cases():
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 47, 48, 49, 550):
+        for d in (1, 3, 10):
+            x = rng.normal(size=(n, d))
+            dup = x.copy()
+            dup[n // 2:] = dup[0]                           # duplicate rows
+            for rows in (x, dup):
+                yield rows, rng.normal(size=n), rng.normal(size=(n + 3, d))
+
+
+def test_rbf_kernel_equals_the_new_array_expression_bit_for_bit():
+    # `a @ a.T` takes syrk and `a @ b.T` gemm, so both are covered
+    for x, _, probe in _kernel_ridge_cases():
+        for sigma in (0.7, _copy_partition_median(squared_distances(x, x))):
+            assert np.array_equal(rbf_kernel(x, x, sigma), _new_array_rbf(x, x, sigma))
+            assert np.array_equal(rbf_kernel(probe, x, sigma),
+                                  _new_array_rbf(probe, x, sigma))
+
+
+def test_kernel_ridge_predictions_equal_the_new_array_fit_bit_for_bit():
+    for x, y, probe in _kernel_ridge_cases():
+        for bandwidth in ("median", 0.7):
+            model = KernelRidgeRegressor(RegressorSpec(bandwidth=bandwidth)).fit(x, y)
+            d2 = squared_distances(x, x)
+            sigma = _copy_partition_median(d2) if bandwidth == "median" else bandwidth
+            gram = np.exp(-d2 / (2.0 * sigma * sigma))
+            gram[np.diag_indices_from(gram)] += 1e-3
+            coef = _cholesky_solve(np.linalg.cholesky(gram), y)
+            assert model.sigma == sigma, (x.shape, bandwidth)
+            # predicting the training rows passes `a is b` to the kernel
+            for rows in (x, probe):
+                assert np.array_equal(model.predict(rows),
+                                      _new_array_rbf(rows, x, sigma) @ coef), x.shape
+
+
+def test_kernel_ridge_fit_peak_stays_below_two_and_a_half_gram_matrices():
+    # the Gram matrix is formed over the distance matrix's buffer, so a fit
+    # holds about two n x n arrays at once (the squared distances' own two,
+    # then the Gram matrix and its Cholesky factor); forming the Gram matrix
+    # in new arrays would peak at 3.0. np.linalg.cholesky also copies the matrix
+    # into a LAPACK workspace that tracemalloc does not see.
+    n = 600
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
+    fit = KernelRidgeRegressor(RegressorSpec()).fit
+    assert traced_peak(lambda: fit(x, y)) <= 2.5 * n * n * 8
 
 
 # ------------------------------------------------------------- kernel ridge
