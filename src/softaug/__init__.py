@@ -16,7 +16,7 @@ from .data import (  # noqa: F401
     fit_normalizer, apply_normalizer, invert_normalizer, split, synth_make,
     synth_names, concat,
 )
-from .regress import RegressorSpec, Metrics, fit, evaluate  # noqa: F401
+from .regress import Metrics, fit, evaluate  # noqa: F401
 from .active import LabelBudget, run_active_selection, kmeans, choose_k  # noqa: F401
 from .quality import mmd2, diversity_score, select_best_batch  # noqa: F401
 from .rgan import (  # noqa: F401

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import BudgetError, ContractError, DataError, DegeneracyError
-from .regress import RegressorSpec, make_regressor
+from .regress import KernelRidgeRegressor
 from .rng import SeededRng, derive_seed
 
 LLOYD_TOL = 1e-6
@@ -234,20 +234,20 @@ def run_active_selection(
     oracle: Callable[[int], float],
     budget: LabelBudget,
     seed: int,
-    regressor_spec: RegressorSpec | None = None,
+    ridge: float = 1e-3,
 ) -> tuple[TabularDataset, list[AcquisitionRecord]]:
     """Label `budget.total` pool points: clustering start, then greedy scores.
 
     `oracle(i)` reveals the label of pool row i and is only called for
     acquired points. Returns the labeled training set (rows in acquisition
-    order) and the per-acquisition log.
+    order) and the per-acquisition log. The model f behind d_y is kernel
+    ridge with `ridge`.
     """
     points = pool.features
     m = points.shape[0]
     if budget.total > m:
         raise BudgetError(f"budget {budget.total} exceeds pool size {m}")
     _check_scale(points, pool.columns)
-    spec = regressor_spec or RegressorSpec(kind="kernel-ridge")
     dists = _pool_dists(points)
     if budget.initial is None:
         if m // 2 < 2:
@@ -273,7 +273,8 @@ def run_active_selection(
     records: list[AcquisitionRecord] = []
     step = len(state.labeled)
     while len(state.labeled) < budget.total:
-        state.model = _fit_selection_model(spec, points, state)
+        labeled_y = np.array([state.labels[i] for i in state.labeled])
+        state.model = KernelRidgeRegressor(ridge).fit(points[state.labeled], labeled_y)
         scores, d_y = _igs_scores(state, points, r, d_x)
         unlabeled = np.setdiff1d(np.arange(m), np.asarray(state.labeled, dtype=int))
         best = int(unlabeled[np.argmax(scores[unlabeled])])   # ties: lowest index
@@ -313,9 +314,3 @@ def _check_scale(points: np.ndarray, columns) -> None:
     wide = [c for c, s, g in zip(columns, span2, mag2) if s > share or g > share]
     raise DataError(f"feature column(s) {', '.join(wide or columns)} reach {mag.max():.3g}, "
                     f"too large for the selection's squared distances; rescale them")
-
-
-def _fit_selection_model(spec: RegressorSpec, points: np.ndarray, state: SelectionState):
-    x = points[np.asarray(state.labeled, dtype=int)]
-    y = np.array([state.labels[i] for i in state.labeled])
-    return make_regressor(spec).fit(x, y)

@@ -84,13 +84,17 @@ def load_csv(path, label_column: str) -> TabularDataset:
     """Read a real-valued CSV with a header row; one column is the label.
 
     A header with no data rows reads as a 0-row dataset of its columns.
+    The file is UTF-8 text; a leading byte-order mark is dropped.
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh)]
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text "
+                         f"({err.reason} 0x{err.object[err.start]:02x})") from None
     rows = [r for r in rows if r and not (r[0].lstrip().startswith("#"))]
     if not rows:
         raise SchemaError(f"{path}: no header row")

@@ -30,7 +30,8 @@ from .data import (NormalizationSpec, SplitSpec, TabularDataset,
                    load_csv, save_csv, split, synth_make)
 from .errors import BudgetError, ConfigError, ContractError
 from .quality import BatchQuality, select_best_batch
-from .regress import Metrics, RegressorSpec, check_bandwidth, evaluate, fit
+from .regress import (KernelRidgeRegressor, Metrics, MlpRegressor, Regressor,
+                      check_bandwidth, evaluate, fit)
 from .rgan import (GanConfig, RganModel, TrainTrace, check_finite, generate,
                    load_checkpoint, save_checkpoint, train)
 from .rng import SeededRng, derive_seed
@@ -174,7 +175,10 @@ _SCHEMA = {
 
 
 def parse_config(path_or_text) -> ExperimentConfig:
-    """Read an INI-style config; every key must be known (fail-fast)."""
+    """Read an INI-style config; every key must be known (fail-fast).
+
+    A config file is UTF-8 text; a leading byte-order mark is dropped.
+    """
     # no header can name the empty section, so a [DEFAULT] header is an
     # ordinary (unknown) section rather than keys merged into every other
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -182,9 +186,12 @@ def parse_config(path_or_text) -> ExperimentConfig:
         text = path_or_text
     else:
         try:
-            text = Path(path_or_text).read_text()
+            text = Path(path_or_text).read_text(encoding="utf-8-sig")
         except OSError as err:
             raise ConfigError(f"cannot read config {path_or_text}: {err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"cannot read config {path_or_text}: not UTF-8 text "
+                              f"({err.reason} 0x{err.object[err.start]:02x})") from None
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -235,9 +242,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 # ------------------------------------------------------------------ outputs
 
 def write_csv(path, header: list[str], rows: list[tuple], comments: list[str] = ()) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
@@ -287,14 +292,25 @@ def _json_default(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
+def make_out_dir(out: Path) -> None:
+    """Create the output directory `out`; failing that, a ConfigError naming it."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err.strerror}") from None
+
+
 @contextmanager
 def run_record(cfg: ExperimentConfig, out: Path | None, seed_tag: str = ""):
     """The manifest of one run, written out however the run ends.
 
-    Yields a fresh manifest for the stages to fill. On leaving, writes
-    config.echo.ini and manifest.json under `out` when it is set; a failure
-    is first recorded against the last phase entered, then re-raised.
+    Creates `out` when it is set, then yields a fresh manifest for the
+    stages to fill. On leaving, writes config.echo.ini and manifest.json
+    under `out`; a failure is first recorded against the last phase
+    entered, then re-raised.
     """
+    if out:
+        make_out_dir(out)
     manifest = RunManifest(seed=cfg.seed, seed_tag=seed_tag,
                            config_ini=config_to_ini(cfg))
     try:
@@ -305,7 +321,6 @@ def run_record(cfg: ExperimentConfig, out: Path | None, seed_tag: str = ""):
         raise
     finally:
         if out:
-            out.mkdir(parents=True, exist_ok=True)
             (out / "config.echo.ini").write_text(manifest.config_ini)
             (out / "manifest.json").write_text(manifest.to_json())
 
@@ -386,10 +401,9 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest,
     with _phase(manifest, "selection"):
         if cfg.active_enabled:
             budget = LabelBudget(initial=cfg.initial_count or None, total=cfg.train_count)
-            spec = RegressorSpec(kind="kernel-ridge", ridge=cfg.ridge)
             train_raw, acquisitions = run_active_selection(
                 pool, lambda i: float(pool.labels[i]), budget,
-                derive_seed(cfg.seed, "active"), spec)
+                derive_seed(cfg.seed, "active"), cfg.ridge)
         else:
             rng = SeededRng(derive_seed(cfg.seed, "subset"))
             train_raw = pool.take(rng.permutation(pool.n_rows)[:cfg.train_count])
@@ -487,12 +501,12 @@ def score_candidates(cfg: ExperimentConfig, model: RganModel, train_n: TabularDa
     return batches, best, report
 
 
-def _downstream_spec(cfg: ExperimentConfig, kind: str) -> RegressorSpec:
+def _downstream_model(cfg: ExperimentConfig, kind: str) -> Regressor:
+    """An unfitted downstream model of `kind`, one of `cfg.models`."""
     if kind == "kernel-ridge":
-        return RegressorSpec(kind=kind, ridge=cfg.ridge)
-    return RegressorSpec(kind="mlp", hidden=cfg.mlp_hidden, epochs=cfg.mlp_epochs,
-                         learning_rate=cfg.mlp_learning_rate,
-                         seed=derive_seed(cfg.seed, "downstream:mlp"))
+        return KernelRidgeRegressor(cfg.ridge)
+    return MlpRegressor(cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_learning_rate,
+                        derive_seed(cfg.seed, "downstream:mlp"))
 
 
 def fit_downstream(cfg: ExperimentConfig, train_n: TabularDataset, test_n: TabularDataset,
@@ -506,9 +520,8 @@ def fit_downstream(cfg: ExperimentConfig, train_n: TabularDataset, test_n: Tabul
     data = {"real-only": train_n, "augmented": concat(train_n, selected)}
     metrics: dict[tuple[str, str], Metrics] = {}
     for kind in cfg.models:
-        spec = _downstream_spec(cfg, kind)
         for condition in conditions:
-            m = evaluate(fit(spec, data[condition]), test_n)
+            m = evaluate(fit(_downstream_model(cfg, kind), data[condition]), test_n)
             if cfg.metrics_denormalized:
                 scale_width = normalizer.label_hi - normalizer.label_lo
                 m = Metrics(m.mae * scale_width, m.rmse * scale_width)
@@ -592,6 +605,7 @@ def run_score(cfg: ExperimentConfig, checkpoint, out_dir: str | Path | None = No
 def run_generate(checkpoint, count: int, seed: int, out_dir: str | Path) -> Path:
     """Write `count` rows from a checkpoint to `out_dir`/generated.csv, returning
     that path; the rows are in raw units when the checkpoint stores a normalizer."""
+    make_out_dir(Path(out_dir))
     model, normalizer, _ = read_checkpoint(checkpoint)
     batch = generate_candidates(model, count, seed, 1)[0]
     if normalizer is not None:

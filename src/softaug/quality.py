@@ -21,8 +21,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import ContractError
-from .regress import (Bandwidth, RegressorSpec, _resolve_bandwidth, make_regressor,
-                      rbf_kernel)
+from .regress import Bandwidth, KernelRidgeRegressor, _resolve_bandwidth, rbf_kernel
 from .rng import SeededRng, derive_seed
 
 ArrayLike = Union[TabularDataset, np.ndarray]
@@ -73,13 +72,9 @@ def mmd2(a: ArrayLike, b: ArrayLike, bandwidth: Bandwidth = "median") -> float:
 RegressorFactory = Callable[[np.ndarray, np.ndarray], object]
 
 
-def default_regressor_factory() -> RegressorFactory:
-    spec = RegressorSpec(kind="kernel-ridge")
-
-    def factory(x: np.ndarray, y: np.ndarray):
-        return make_regressor(spec).fit(x, y)
-
-    return factory
+def fit_kernel_ridge(x: np.ndarray, y: np.ndarray) -> KernelRidgeRegressor:
+    """The default factory: kernel ridge at its default ridge (1e-3) and median width."""
+    return KernelRidgeRegressor().fit(x, y)
 
 
 def _fold_indices(n: int, folds: int, rng: SeededRng) -> list[np.ndarray]:
@@ -140,7 +135,7 @@ def _real_fold_models(real: TabularDataset, folds: int, factory: RegressorFactor
 
 
 def diversity_score(real: TabularDataset, generated: TabularDataset,
-                    folds: int = 5, factory: RegressorFactory | None = None,
+                    folds: int = 5, factory: RegressorFactory = fit_kernel_ridge,
                     seed: int = 0, *, real_models: Sequence | None = None) -> float:
     """Cross-fit MAE score; lower means the batch behaves like real data.
 
@@ -148,7 +143,6 @@ def diversity_score(real: TabularDataset, generated: TabularDataset,
     factory, seed)` returns; otherwise they are fit here.
     """
     _check_folds(folds, real, generated)
-    factory = factory or default_regressor_factory()
     if real_models is None:
         real_models = _real_fold_models(real, folds, factory, seed)
     gen_folds = _content_folds(generated, folds, seed)
@@ -169,7 +163,7 @@ def _ranks(values: Sequence[float]) -> list[int]:
 
 def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
                       bandwidth: Bandwidth = "median", folds: int = 5,
-                      factory: RegressorFactory | None = None,
+                      factory: RegressorFactory = fit_kernel_ridge,
                       seed: int = 0) -> tuple[int, list[BatchQuality]]:
     """Pick the batch minimizing normalized mmd2 + normalized diversity score.
 
@@ -181,7 +175,6 @@ def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
     if not batches:
         raise ContractError("select_best_batch needs at least one batch")
     mmds = [max(mmd2(real, b, bandwidth), 0.0) for b in batches]
-    factory = factory or default_regressor_factory()
     real_models = _real_fold_models(real, folds, factory, seed)
     dss = [diversity_score(real, b, folds, factory, seed, real_models=real_models)
            for b in batches]

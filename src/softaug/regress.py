@@ -23,21 +23,6 @@ SOLVE_BLOCK = 48
 
 
 @dataclass(frozen=True)
-class RegressorSpec:
-    kind: str = "kernel-ridge"          # kernel-ridge | mlp
-    bandwidth: Bandwidth = "median"     # rbf width, or "median" heuristic
-    ridge: float = 1e-3
-    hidden: tuple[int, ...] = (32, 16)
-    epochs: int = 500
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("kernel-ridge", "mlp"):
-            raise ContractError(f"unknown regressor kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Metrics:
     mae: float
     rmse: float
@@ -138,8 +123,9 @@ def _cholesky_solve(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
 class KernelRidgeRegressor:
     """f(x) = sum_i c_i k(x, x_i) with (K + ridge*I) c = y."""
 
-    def __init__(self, spec: RegressorSpec):
-        self.spec = spec
+    def __init__(self, ridge: float = 1e-3, bandwidth: Bandwidth = "median"):
+        self.ridge = ridge
+        self.bandwidth = bandwidth          # rbf width, or "median" heuristic
         self._x = None
         self._coef = None
         self.sigma = None
@@ -152,10 +138,10 @@ class KernelRidgeRegressor:
         if x.shape[0] == 0:
             raise ContractError("cannot fit on an empty dataset")
         d2 = squared_distances(x, x)
-        bw = check_bandwidth(self.spec.bandwidth)
+        bw = check_bandwidth(self.bandwidth)
         self.sigma = _median_width(d2) if bw is None else bw
         gram = _rbf_in_place(d2, self.sigma)
-        gram[np.diag_indices_from(gram)] += self.spec.ridge
+        gram[np.diag_indices_from(gram)] += self.ridge
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -175,8 +161,12 @@ class KernelRidgeRegressor:
 class MlpRegressor:
     """Small leaky-relu network with a linear head, full-batch Adam."""
 
-    def __init__(self, spec: RegressorSpec):
-        self.spec = spec
+    def __init__(self, hidden: tuple[int, ...] = (32, 16), epochs: int = 500,
+                 learning_rate: float = 1e-3, seed: int = 0):
+        self.hidden = hidden
+        self.epochs = epochs
+        self.learning_rate = learning_rate
+        self.seed = seed
         self._net = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MlpRegressor":
@@ -186,9 +176,9 @@ class MlpRegressor:
             raise ContractError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
         if x.shape[0] == 0:
             raise ContractError("cannot fit on an empty dataset")
-        dims = [x.shape[1], *self.spec.hidden, 1]
-        net = init_mlp(dims, SeededRng(self.spec.seed), out_activation="linear")
-        fit_mse([net], x, y, self.spec.epochs, self.spec.learning_rate)
+        dims = [x.shape[1], *self.hidden, 1]
+        net = init_mlp(dims, SeededRng(self.seed), out_activation="linear")
+        fit_mse([net], x, y, self.epochs, self.learning_rate)
         self._net = net
         return self
 
@@ -201,15 +191,10 @@ class MlpRegressor:
 Regressor = Union[KernelRidgeRegressor, MlpRegressor]
 
 
-def make_regressor(spec: RegressorSpec) -> Regressor:
-    """An unfitted regressor of `spec.kind`."""
-    return KernelRidgeRegressor(spec) if spec.kind == "kernel-ridge" else MlpRegressor(spec)
-
-
-def fit(spec: RegressorSpec, ds: TabularDataset) -> Regressor:
-    """Fit on a whole dataset. Only downstream evaluation calls this; the
-    selection and quality fits call `make_regressor` directly."""
-    return make_regressor(spec).fit(ds.features, ds.labels)
+def fit(model: Regressor, ds: TabularDataset) -> Regressor:
+    """Fit an unfitted `model` on a whole dataset. Only downstream evaluation
+    calls this; the selection and quality fits call the model's `fit`."""
+    return model.fit(ds.features, ds.labels)
 
 
 def evaluate(model: Regressor, ds: TabularDataset) -> Metrics:

@@ -84,15 +84,16 @@ def kink_safe_seed(check, start, limit=50):
     raise AssertionError(f"no kink-safe seed in [{start}, {start + limit})")
 
 
-def brute_force_greedy(pool, initial, total, spec):
-    """Literal greedy acquisition loop: python loops, refit after every step."""
+def brute_force_greedy(pool, initial, total):
+    """Literal greedy acquisition loop: python loops, refit a default kernel
+    ridge model after every step."""
     points = pool.features
     m = points.shape[0]
     labeled = list(initial)
     labels = {i: float(pool.labels[i]) for i in labeled}
     sequence = []
     while len(labeled) < total:
-        model = KernelRidgeRegressor(spec).fit(
+        model = KernelRidgeRegressor().fit(
             points[np.array(labeled)], np.array([labels[i] for i in labeled]))
         best_index, best_score = None, -1.0
         for n in range(m):

@@ -24,7 +24,6 @@ from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
 from softaug.layers import SLOPE
 from softaug.quality import diversity_score, mmd2
-from softaug.regress import RegressorSpec
 from softaug.rgan import critic_regressor_loss, generator_loss
 from softaug.rng import derive_seed, gaussian_noise
 
@@ -192,7 +191,7 @@ def test_criterion_03_acquisition_matches_brute_force():
         _, records = run_active_selection(
             pool, lambda i: float(pool.labels[i]), LabelBudget(k_init, total),
             seed=k)
-        want = brute_force_greedy(pool, initial, total, RegressorSpec())
+        want = brute_force_greedy(pool, initial, total)
         all_match = all_match and [r.index for r in records] == want
     elapsed = time.perf_counter() - t0
     ok = all_match and elapsed < 10.0

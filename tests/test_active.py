@@ -12,7 +12,7 @@ from softaug.active import (POOL_BLOCK, ClusterResult, SelectionState, _pool_dis
                             _sq_dists, igs_score, init_select, silhouette_mean)
 from softaug.data import TabularDataset
 from softaug.errors import BudgetError, ContractError, DataError, DegeneracyError
-from softaug.regress import KernelRidgeRegressor, RegressorSpec
+from softaug.regress import KernelRidgeRegressor
 from softaug.rng import derive_seed
 
 
@@ -120,6 +120,20 @@ def test_kmeans_assigns_to_nearest_centroid():
     d2 = np.array([[np.sum((p - c) ** 2) for c in result.centroids]
                    for p in points])
     assert np.array_equal(result.assignments, np.argmin(d2, axis=1))
+
+
+def test_kmeans_repairs_an_empty_cluster_with_the_farthest_point(monkeypatch):
+    # a start whose second centroid owns no point: every point goes to 0.5,
+    # so that cluster's mean moves to 2.25 and point 6 is the farthest from it
+    points = np.array([[0.0], [1.0], [2.0], [6.0]])
+    monkeypatch.setattr(active, "_kmeans_pp", lambda p, k, rng: np.array([[0.5], [100.0]]))
+    result = kmeans(points, 2, seed=0)
+    assert result.centroids.tolist() == [[1.0], [6.0]]
+    assert np.all(np.bincount(result.assignments, minlength=2) > 0)
+    monkeypatch.setattr(active, "LLOYD_MAX_ITER", 1)        # stop right after the repair
+    one_round = kmeans(points, 2, seed=0)
+    assert one_round.centroids.tolist() == [[2.25], [6.0]]
+    assert one_round.assignments.tolist() == [0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------- silhouette
@@ -307,7 +321,7 @@ def test_third_acquisition_on_hand_pool():
     rec = records[0]
     assert rec.step == 3 and rec.d_x == 4.0 and rec.r == 15.0
     # d_y oracle: refit the same kernel-ridge model on the two labeled points
-    model = KernelRidgeRegressor(RegressorSpec()).fit(
+    model = KernelRidgeRegressor().fit(
         np.array([[0.0], [10.0]]), np.array([0.0, 10.0]))
     pred = float(model.predict(np.array([[4.0]]))[0])
     assert abs(rec.d_y - min(abs(pred), abs(pred - 10.0))) < 1e-12
@@ -353,7 +367,7 @@ def test_acquisition_matches_naive_greedy_oracle():
     initial = init_select(pool.features, clusters)
     _, records = run_active_selection(
         pool, lambda i: float(pool.labels[i]), LabelBudget(3, 8), seed)
-    want = brute_force_greedy(pool, initial, 8, RegressorSpec())
+    want = brute_force_greedy(pool, initial, 8)
     assert [rec.index for rec in records] == want
 
 

@@ -100,6 +100,9 @@ def test_load_csv_error_cases(tmp_path):
     p.write_text("a,b,y\n-1e308,0,-1.5e308\n1e308,1,1.5e308\n")
     with pytest.raises(DataError, match=r"column\(s\) a, y span more than the largest float"):
         load_csv(p, "y")
+    p.write_bytes(b"a,y\n1,\xff\n")
+    with pytest.raises(ParseError, match=r"bad.csv: not UTF-8 text \(invalid start byte 0xff\)"):
+        load_csv(p, "y")
 
 
 def test_header_only_csv_roundtrips_as_zero_rows(tmp_path):
@@ -111,6 +114,18 @@ def test_header_only_csv_roundtrips_as_zero_rows(tmp_path):
     back = load_csv(p, "t")
     assert back.features.shape == (0, 2) and back.labels.shape == (0,)
     assert back.columns == ("a", "b") and back.label_name == "t"
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with the bytes EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    for text in ("y,x1,x2\n0.5,1,2\n0.25,3,4\n", "x1,x2,y\n1,2,0.5\n3,4,0.25\n"):
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = load_csv(plain, "y"), load_csv(marked, "y")
+        assert got.columns == want.columns == ("x1", "x2"), text
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
 
 
 def test_load_csv_skips_comment_lines(tmp_path):

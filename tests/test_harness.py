@@ -14,8 +14,9 @@ from softaug.cli import main
 from softaug.data import TabularDataset, load_csv
 from softaug.errors import ConfigError, ContractError, DataError
 from softaug.harness import (ABLATE_HEADER, ABLATION_VARIANTS, AMOUNT_HEADER,
-                             HYPER_HEADER, _PARSERS, _SCHEMA, RunManifest, _arm_rows,
-                             choose_batch, generate, write_csv)
+                             HYPER_HEADER, SWEEP_PARAMETERS, SWEEP_VALUES, _PARSERS,
+                             _SCHEMA, RunManifest, _arm_rows, choose_batch, generate,
+                             write_csv)
 from softaug.quality import mmd2
 from softaug.regress import Metrics
 from softaug.rgan import RganModel
@@ -127,6 +128,14 @@ def test_parse_reads_a_file_path(tmp_path):
     assert parse_config(str(path)).seed == 9
     with pytest.raises(ConfigError, match="cannot read config .*absent.ini"):
         parse_config(str(tmp_path / "absent.ini"))
+
+
+def test_parse_drops_a_byte_order_mark(tmp_path):
+    text = config_to_ini(_lean(seed=9)).encode()
+    plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_config(str(marked)) == parse_config(str(plain)) == _lean(seed=9)
 
 
 def test_config_roundtrips_through_ini():
@@ -670,6 +679,32 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert (got, fragment in stderr, one_line) == (code, True, True), (argv, stderr)
 
 
+def test_unusable_out_dir_is_refused_before_any_phase(tmp_path, monkeypatch, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr("softaug.harness.prepare", no_phase)
+    monkeypatch.setattr("softaug.harness.read_checkpoint", no_phase)
+    for command in (["select"], ["train"], ["pipeline"], ["ablate"], ["sweep-amount"],
+                    ["sweep-hyper"], ["time"], ["score", "--checkpoint", "absent.bin"],
+                    ["generate", "--checkpoint", "absent.bin", "--count", "1"]):
+        assert main([*command, "--out", str(occupied)]) == 2, command
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {occupied}: File exists\n")
+
+
+def test_cli_sweep_hyper_prints_a_row_per_arm(tmp_path, capsys):
+    assert main(["sweep-hyper", "--config", _ini(tmp_path, _lean())]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == HYPER_HEADER
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], float(r[1]), r[2], r[5]) for r in rows] == [
+        (p, v, "kernel-ridge", "ok") for p in SWEEP_PARAMETERS for v in SWEEP_VALUES]
+
+
 def _csv_cells_finite(out):
     """Every number in every CSV under `out` is finite; text cells are skipped."""
     for path in sorted(out.rglob("*.csv")):
@@ -714,6 +749,13 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     label_only.write_text("y\n" + "".join(f"{v:.17g}\n" for v in rng.uniform(size=120)))
     label_only_active = _lean(source="csv", csv_path=str(label_only), initial_count=0)
     label_only_random = replace(label_only_active, active_enabled=False)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"x1,x2,y\n0.5,0.25,0.125\n0.\xff,0.5,1\n")
+    latin1_csv = _lean(source="csv", csv_path=str(latin1))
+    latin1_ini = config_to_ini(_lean()).encode() + b"# caf\xe9\n"
+    # a file where an output directory should go
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
     ckpt = tmp_path / "trn" / "checkpoint.bin"
     assert main(["train", "--config", _ini(tmp_path, _lean()),
                  "--out", str(ckpt.parent)]) == 0
@@ -725,7 +767,13 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
         return "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
                          for line in lines) + "\n"
 
-    # (name, command, config, extra flags, exit code, stderr fragment)
+    # (name, command, config or None, extra flags, exit code, stderr fragment);
+    # a config is written to <name>.ini and the run goes to --out <name>
+    # unless `outs` names another output path
+    outs = {name: occupied for name in ("out-is-file-pipeline", "out-is-file-train",
+                                        "out-is-file-ablate", "out-is-file-generate")}
+    outs["out-below-file"] = occupied / "run"
+    no_dir = f"cannot create output directory {occupied}"
     table = [
         ("tiny-width", ["pipeline"], refused("bandwidth", "1e-300"), [], 2,
          "2*bandwidth**2 is positive and finite, got '1e-300'"),
@@ -762,12 +810,26 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "generated_count must be >= 1 to rank batches, got 0"),
         ("score-rows-below-folds", score, _lean(generated_count=2, select_best=False), [],
          2, "generated_count 2 is below ds_folds 3"),
+        ("non-utf8-config", ["pipeline"], latin1_ini, [], 2,
+         "non-utf8-config.ini: not UTF-8 text (invalid continuation byte 0xe9)"),
+        ("non-utf8-csv", ["pipeline"], latin1_csv, [], 3,
+         "latin1.csv: not UTF-8 text (invalid start byte 0xff)"),
+        ("out-is-file-pipeline", ["pipeline"], _lean(), [], 2, f"{no_dir}: File exists"),
+        ("out-is-file-train", ["train"], _lean(), [], 2, f"{no_dir}: File exists"),
+        ("out-is-file-ablate", ["ablate"], _lean(), [], 2, f"{no_dir}: File exists"),
+        ("out-is-file-generate", ["generate", "--checkpoint", str(ckpt)], None,
+         ["--count", "3"], 2, f"{no_dir}: File exists"),
+        ("out-below-file", ["pipeline"], _lean(), [], 2, f"{no_dir}/run: Not a directory"),
     ]
     for name, command, cfg, extra, code, fragment in table:
-        path = tmp_path / f"{name}.ini"
-        path.write_text(cfg if isinstance(cfg, str) else config_to_ini(cfg))
-        out = tmp_path / name
-        got = main([*command, "--config", str(path), "--out", str(out), *extra])
+        config = []
+        if cfg is not None:
+            text = cfg if isinstance(cfg, (str, bytes)) else config_to_ini(cfg)
+            path = tmp_path / f"{name}.ini"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            config = ["--config", str(path)]
+        out = outs.get(name, tmp_path / name)
+        got = main([*command, *config, "--out", str(out), *extra])
         stderr = capsys.readouterr().err
         assert (got, fragment in stderr) == (code, True), (name, stderr)
         assert not recwarn.list, (name, [str(w.message) for w in recwarn.list])

@@ -226,7 +226,7 @@ def _naive_selection(real, batches, sigma, folds, seed):
     Fold membership comes from the library's seeded-permutation helper (its
     determinism is pinned elsewhere); every score on top is recomputed here.
     """
-    from softaug.regress import KernelRidgeRegressor, RegressorSpec
+    from softaug.regress import KernelRidgeRegressor
 
     mmds = [max(_naive_mmd2(real.joint(), b.joint(), sigma), 0.0)
             for b in batches]
@@ -242,7 +242,7 @@ def _naive_selection(real, batches, sigma, folds, seed):
             tr, te = folds_by[id(train_ds)], folds_by[id(test_ds)]
             for i in range(folds):
                 keep = np.concatenate([f for j, f in enumerate(tr) if j != i])
-                model = KernelRidgeRegressor(RegressorSpec()).fit(
+                model = KernelRidgeRegressor().fit(
                     train_ds.features[keep], train_ds.labels[keep])
                 pred = model.predict(test_ds.features[te[i]])
                 total += float(np.mean(np.abs(pred - test_ds.labels[te[i]])))

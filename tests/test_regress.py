@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from softaug import Metrics, RegressorSpec, evaluate, fit
+from softaug import Metrics, evaluate, fit
 from softaug.data import TabularDataset
 from softaug.errors import ConditioningError, ContractError
 from softaug.regress import (SOLVE_BLOCK, KernelRidgeRegressor, MlpRegressor,
@@ -120,7 +120,7 @@ def test_rbf_kernel_equals_the_new_array_expression_bit_for_bit():
 def test_kernel_ridge_predictions_equal_the_new_array_fit_bit_for_bit():
     for x, y, probe in _kernel_ridge_cases():
         for bandwidth in ("median", 0.7):
-            model = KernelRidgeRegressor(RegressorSpec(bandwidth=bandwidth)).fit(x, y)
+            model = KernelRidgeRegressor(bandwidth=bandwidth).fit(x, y)
             d2 = squared_distances(x, x)
             sigma = _copy_partition_median(d2) if bandwidth == "median" else bandwidth
             gram = np.exp(-d2 / (2.0 * sigma * sigma))
@@ -142,7 +142,7 @@ def test_kernel_ridge_fit_peak_stays_below_two_and_a_half_gram_matrices():
     n = 600
     rng = np.random.default_rng(7)
     x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
-    fit = KernelRidgeRegressor(RegressorSpec()).fit
+    fit = KernelRidgeRegressor().fit
     assert traced_peak(lambda: fit(x, y)) <= 2.5 * n * n * 8
 
 
@@ -166,14 +166,14 @@ def test_cholesky_solve_matches_a_dense_solve():
 def test_small_ridge_interpolates_distinct_points():
     x = np.arange(5, dtype=float).reshape(-1, 1)
     y = np.array([0.2, 0.9, -0.4, 0.5, 1.3])
-    model = fit(RegressorSpec(ridge=1e-12, bandwidth=0.5), _dataset(x, y))
+    model = fit(KernelRidgeRegressor(ridge=1e-12, bandwidth=0.5), _dataset(x, y))
     assert np.max(np.abs(model.predict(x) - y)) < 1e-6
 
 
 def test_two_point_system_matches_direct_solve():
     x = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
-    model = KernelRidgeRegressor(RegressorSpec(bandwidth=1.0, ridge=0.1))
+    model = KernelRidgeRegressor(ridge=0.1, bandwidth=1.0)
     model.fit(x, y)
     k01 = np.exp(-0.5)
     system = np.array([[1.1, k01], [k01, 1.1]])
@@ -187,7 +187,7 @@ def test_two_point_system_matches_direct_solve():
 def test_duplicate_rows_with_zero_ridge_raise_conditioning_error():
     x = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]])
     y = np.array([1.0, 1.0, 0.0])
-    model = KernelRidgeRegressor(RegressorSpec(ridge=0.0))
+    model = KernelRidgeRegressor(ridge=0.0)
     with pytest.raises(ConditioningError, match="ridge > 0"):
         model.fit(x, y)
 
@@ -195,7 +195,7 @@ def test_duplicate_rows_with_zero_ridge_raise_conditioning_error():
 def test_negative_bandwidth_rejected():
     # 2 * bw**2 underflows to 0 at 1e-300 and overflows at 1e155
     for bad in (-2.0, 0.0, float("nan"), float("inf"), "-inf", "wide", 1e-300, 1e155, "1e155"):
-        model = KernelRidgeRegressor(RegressorSpec(bandwidth=bad))
+        model = KernelRidgeRegressor(bandwidth=bad)
         with pytest.raises(ContractError, match="positive"):
             model.fit(np.zeros((3, 1)), np.zeros(3))
 
@@ -205,16 +205,15 @@ def test_negative_bandwidth_rejected():
 def test_mlp_fits_constant_labels():
     rng = np.random.default_rng(3)
     ds = _dataset(rng.uniform(size=(20, 2)), np.full(20, 0.7))
-    spec = RegressorSpec(kind="mlp", learning_rate=1e-2, epochs=1000)
-    assert evaluate(fit(spec, ds), ds).mae < 1e-3
+    model = MlpRegressor(epochs=1000, learning_rate=1e-2)
+    assert evaluate(fit(model, ds), ds).mae < 1e-3
 
 
 def test_mlp_is_deterministic_under_seed():
     rng = np.random.default_rng(11)
     ds = _dataset(rng.uniform(size=(16, 3)), rng.uniform(size=16))
-    spec = RegressorSpec(kind="mlp", epochs=40, seed=9)
-    a = fit(spec, ds).predict(ds.features)
-    b = fit(spec, ds).predict(ds.features)
+    a = fit(MlpRegressor(epochs=40, seed=9), ds).predict(ds.features)
+    b = fit(MlpRegressor(epochs=40, seed=9), ds).predict(ds.features)
     assert np.array_equal(a, b)
 
 
@@ -254,14 +253,9 @@ def test_metrics_require_residuals():
 
 # ---------------------------------------------------------------- contracts
 
-def test_spec_rejects_unknown_kind():
-    with pytest.raises(ContractError, match="kind"):
-        RegressorSpec(kind="forest")
-
-
 @pytest.mark.parametrize("cls", [KernelRidgeRegressor, MlpRegressor])
 def test_fit_contracts(cls):
-    model = cls(RegressorSpec(kind="mlp" if cls is MlpRegressor else "kernel-ridge"))
+    model = cls()
     with pytest.raises(ContractError):
         model.fit(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ContractError):

@@ -449,6 +449,41 @@ def test_divergence_carries_the_partial_trace():
     assert excinfo.value.trace is not None
 
 
+def _corrupt_at_second_iteration(monkeypatch, name, corrupt):
+    """Patch rgan.`name` so its first call in iteration 1 returns corrupt(result)."""
+    from softaug import rgan
+    inner, calls = getattr(rgan, name), []
+    first = {"generator_loss": 1, "critic_regressor_loss": _tiny().n_critic}[name]
+
+    def patched(*args):
+        calls.append(None)
+        out = inner(*args)
+        return corrupt(out) if len(calls) == first + 1 else out
+
+    monkeypatch.setattr(rgan, name, patched)
+
+
+def test_non_finite_generator_loss_raises_with_the_partial_trace(monkeypatch):
+    _corrupt_at_second_iteration(monkeypatch, "generator_loss",
+                                 lambda out: (out[0], {**out[1], "loss": float("nan")}))
+    with pytest.raises(DivergenceError, match="non-finite generator loss at iteration 1") \
+            as excinfo:
+        train(_train_ds(n=12, seed=5), _tiny(), seed=1)
+    assert excinfo.value.trace.iteration == [0]
+
+
+def test_optimizer_divergence_gets_the_partial_trace(monkeypatch):
+    # a NaN critic gradient under a finite loss: Adam raises without a trace
+    _corrupt_at_second_iteration(
+        monkeypatch, "critic_regressor_loss",
+        lambda out: ([np.full_like(out[0][0], np.nan), *out[0][1:]], out[1]))
+    with pytest.raises(DivergenceError, match="non-finite gradient at optimizer step 3") \
+            as excinfo:
+        train(_train_ds(n=12, seed=5), _tiny(), seed=1)
+    assert excinfo.value.trace.iteration == [0]
+    assert all(np.isfinite(excinfo.value.trace.critic_loss))
+
+
 def test_zero_iterations_returns_pretrained_model():
     ds = _train_ds(n=8, seed=8)
     model, trace = train(ds, _tiny(iterations=0, pretrain_epochs=5), seed=4)
