@@ -118,7 +118,9 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.value)), op="sigmoid")
+    # exp overflows to inf for a << 0, where 1 / (1 + inf) is the exact 0.0
+    with np.errstate(over="ignore"):
+        out = Tensor(1.0 / (1.0 + np.exp(-a.value)), op="sigmoid")
     # backward g * out * (1 - out); referencing `out` keeps the rule exact
     out.parents = ((a, lambda g: mul(g, mul(out, shift(neg(out), 1.0)))),)
     out.requires_grad = a.requires_grad

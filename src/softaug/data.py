@@ -12,14 +12,15 @@ Conventions
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import (BudgetError, CatalogError, ContractError, DataError, ParseError,
-                     SchemaError, ShapeError)
+from .errors import (BudgetError, CatalogError, ConfigError, ContractError, DataError,
+                     ParseError, SchemaError, ShapeError)
 from .rng import SeededRng
 
 PROVENANCES = ("real", "generated", "mixed")
@@ -80,25 +81,9 @@ class TabularDataset:
 
 # ------------------------------------------------------------------- loading
 
-def load_csv(path, label_column: str) -> TabularDataset:
-    """Read a real-valued CSV with a header row; one column is the label.
-
-    A header with no data rows reads as a 0-row dataset of its columns.
-    The file is UTF-8 text; a leading byte-order mark is dropped.
-    """
-    path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh)]
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 text "
-                         f"({err.reason} 0x{err.object[err.start]:02x})") from None
-    rows = [r for r in rows if r and not (r[0].lstrip().startswith("#"))]
-    if not rows:
-        raise SchemaError(f"{path}: no header row")
-    header = [c.strip() for c in rows[0]]
+def _check_header(path: Path, row: list[str], label_column: str) -> tuple[list[str], int]:
+    """The stripped header and the label's index, or a SchemaError naming the fault."""
+    header = [c.strip() for c in row]
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise SchemaError(f"{path}: header repeats column(s) {', '.join(map(repr, repeated))}")
@@ -107,30 +92,58 @@ def load_csv(path, label_column: str) -> TabularDataset:
     if len(header) == 1:
         raise SchemaError(f"{path}: no feature column besides the label column "
                           f"{label_column!r}")
-    label_idx = header.index(label_column)
-    feat_names = tuple(c for i, c in enumerate(header) if i != label_idx)
-    table = []
-    for rnum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {rnum} has {len(row)} cells, expected {len(header)}")
-        vals = []
-        for cnum, cell in enumerate(row):
-            text = cell.strip()
-            if not text:
-                raise ParseError(
-                    f"{path}: row {rnum}, column {header[cnum]!r}: empty cell")
-            try:
-                v = float(text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rnum}, column {header[cnum]!r}: "
-                    f"cannot parse {cell!r}") from None
-            if not np.isfinite(v):
-                raise ParseError(
-                    f"{path}: row {rnum}, column {header[cnum]!r}: non-finite value")
-            vals.append(v)
-        table.append(vals)
-    table = np.array(table).reshape(len(table), len(header))
+    return header, header.index(label_column)
+
+
+def _parse_row(path: Path, rnum: int, row: list[str], header: list[str]) -> list[float]:
+    """Row `rnum`'s cells as finite floats, or a ParseError naming the cell."""
+    if len(row) != len(header):
+        raise ParseError(f"{path}: row {rnum} has {len(row)} cells, expected {len(header)}")
+    vals = []
+    for name, cell in zip(header, row):
+        text = cell.strip()
+        if not text:
+            raise ParseError(f"{path}: row {rnum}, column {name!r}: empty cell")
+        try:
+            v = float(text)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {rnum}, column {name!r}: cannot parse {cell!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(f"{path}: row {rnum}, column {name!r}: non-finite value")
+        vals.append(v)
+    return vals
+
+
+def load_csv(path, label_column: str) -> TabularDataset:
+    """Read a real-valued CSV with a header row; one column is the label.
+
+    A header with no data rows reads as a 0-row dataset of its columns.
+    The file is UTF-8 text; a leading byte-order mark is dropped. Rows
+    are counted without blank and '#' rows, the header being row 1, and
+    the first fault in file order is the one reported. Each row is parsed
+    as it is read, into one float64 buffer shaped (rows, columns) at the end.
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            kept = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+            header_row = next(kept, None)
+            if header_row is None:
+                raise SchemaError(f"{path}: no header row")
+            header, label_idx = _check_header(path, header_row, label_column)
+            cells = (v for rnum, row in enumerate(kept, start=2)
+                     for v in _parse_row(path, rnum, row, header))
+            table = np.fromiter(cells, dtype=np.float64)
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text "
+                         f"({err.reason} 0x{err.object[err.start]:02x})") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
+    table = table.reshape(-1, len(header))
     if len(table):
         # min-max normalization and the selection distances take max - min
         with np.errstate(over="ignore"):
@@ -139,6 +152,7 @@ def load_csv(path, label_column: str) -> TabularDataset:
         if wide:
             raise DataError(f"{path}: column(s) {', '.join(wide)} span more than the "
                             f"largest float; rescale them")
+    feat_names = tuple(c for i, c in enumerate(header) if i != label_idx)
     return TabularDataset(np.delete(table, label_idx, axis=1), table[:, label_idx],
                           feat_names, label_name=label_column, provenance="real")
 
@@ -289,7 +303,10 @@ def synth_make(name: str, n: int, noise_sd: float, seed: int) -> TabularDataset:
     x = rng.uniform(n, d)
     y = truth(x)
     if noise_sd > 0:
-        y = y + noise_sd * rng.normal(n, 1).ravel()
+        with np.errstate(over="ignore"):
+            y = y + noise_sd * rng.normal(n, 1).ravel()
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"noise_sd {noise_sd!r} drives labels past the largest float")
     cols = tuple(f"x{j + 1}" for j in range(d))
     return TabularDataset(x, y, cols, label_name="y", provenance="real")
 

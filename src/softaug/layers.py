@@ -83,7 +83,9 @@ class Mlp:
             elif self.out_activation == "sigmoid":
                 if tape is not None:
                     raise ContractError("backward covers leaky-relu and linear layers only")
-                h = 1.0 / (1.0 + np.exp(-z))
+                # exp overflows to inf for z << 0, where 1 / (1 + inf) is the exact 0.0
+                with np.errstate(over="ignore"):
+                    h = 1.0 / (1.0 + np.exp(-z))
             else:
                 if tape is not None:
                     tape.append((h, None))

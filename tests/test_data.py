@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from softaug import (NormalizationSpec, SplitSpec, TabularDataset, concat,
                      apply_normalizer, fit_normalizer, invert_normalizer,
                      load_csv, save_csv, split, synth_make, synth_names)
@@ -103,6 +105,10 @@ def test_load_csv_error_cases(tmp_path):
     p.write_bytes(b"a,y\n1,\xff\n")
     with pytest.raises(ParseError, match=r"bad.csv: not UTF-8 text \(invalid start byte 0xff\)"):
         load_csv(p, "y")
+    # the csv module refuses a field over 131,072 characters; blank rows count as lines
+    p.write_text("a,y\n1,2\n\n" + "1" * 200_000 + ",2\n")
+    with pytest.raises(ParseError, match=r"bad.csv: line 4: field larger than field limit"):
+        load_csv(p, "y")
 
 
 def test_header_only_csv_roundtrips_as_zero_rows(tmp_path):
@@ -126,6 +132,54 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path):
         assert got.columns == want.columns == ("x1", "x2"), text
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
+
+
+def test_load_csv_matches_float_of_every_cell(tmp_path):
+    # comments, blank lines and a byte-order mark anywhere they may occur,
+    # the label first and last, cells of every magnitude and spelling
+    rng = np.random.default_rng(3)
+    cells = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-300, 300, size=(40, 4))
+    rows = [[f"{v:.17g}" for v in r] for r in cells]
+    rows[0][1], rows[1][2], rows[2][0] = " 2.5 ", "1e-320", "-0"
+    p = tmp_path / "t.csv"
+    for label_at in (0, 3):
+        names = ["x1", "x2", "x3"]
+        names.insert(label_at, "y")
+        lines = ["# provenance=real rows=40", "", ",".join(names)]
+        for i, r in enumerate(rows):
+            lines += [",".join(r)] + (["# note", ""] if i % 7 == 0 else [])
+        p.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode() + b"\n")
+        want = np.array([[float(c) for c in r] for r in rows])
+        ds = load_csv(p, "y")
+        assert ds.columns == ("x1", "x2", "x3")
+        assert np.delete(want, label_at, axis=1).tobytes() == ds.features.tobytes()
+        assert want[:, label_at].tobytes() == ds.labels.tobytes()
+
+
+def test_load_csv_peak_memory_stays_near_the_table(tmp_path):
+    # one float64 buffer and the dataset's own copies, not a Python object a cell
+    rows, cols = 20_000, 11
+    p = tmp_path / "wide.csv"
+    table = np.random.default_rng(4).uniform(size=(rows, cols))
+    p.write_text(",".join([f"x{j}" for j in range(cols - 1)] + ["y"]) + "\n"
+                 + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in table))
+    assert traced_peak(lambda: load_csv(p, "y")) <= 4 * table.nbytes + 2 ** 20
+
+
+def test_load_csv_reports_faults_in_file_order(tmp_path):
+    # the undecodable byte lies past the text decoder's first chunk, so the
+    # fault before it is met first
+    p = tmp_path / "order.csv"
+    padding = b"1,2\n" * 4000
+    p.write_bytes(b"a,y\n1,2\n\n# note\n1\n" + padding + b"1,\xff\n")
+    with pytest.raises(ParseError, match="order.csv: row 3 has 1 cells, expected 2"):
+        load_csv(p, "y")
+    p.write_bytes(b"a,b\n" + padding + b"1,\xff\n")
+    with pytest.raises(SchemaError, match="label column 'y' not in header"):
+        load_csv(p, "y")
+    p.write_bytes(b"a,y\n" + padding + b"1,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_csv(p, "y")
 
 
 def test_load_csv_skips_comment_lines(tmp_path):

@@ -753,6 +753,11 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     latin1.write_bytes(b"x1,x2,y\n0.5,0.25,0.125\n0.\xff,0.5,1\n")
     latin1_csv = _lean(source="csv", csv_path=str(latin1))
     latin1_ini = config_to_ini(_lean()).encode() + b"# caf\xe9\n"
+    # the csv module refuses a field over 131,072 characters
+    long_field = tmp_path / "long_field.csv"
+    long_field.write_text("x1,x2,y\n" + "1" * 200_000 + ",0.5,0.25\n")
+    long_field_csv = _lean(source="csv", csv_path=str(long_field), select_best=False,
+                           active_enabled=False)
     # a file where an output directory should go
     occupied = tmp_path / "occupied"
     occupied.write_text("")
@@ -814,6 +819,12 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "non-utf8-config.ini: not UTF-8 text (invalid continuation byte 0xe9)"),
         ("non-utf8-csv", ["pipeline"], latin1_csv, [], 3,
          "latin1.csv: not UTF-8 text (invalid start byte 0xff)"),
+        ("long-field", ["select"], long_field_csv, [], 3,
+         "long_field.csv: line 2: field larger than field limit (131072)"),
+        ("huge-noise", ["pipeline"], refused("noise_sd", "1e308"), [], 2,
+         "noise_sd 1e+308 drives labels past the largest float"),
+        # the sigmoid's exp overflows to inf, and 1 / (1 + inf) is exactly 0.0
+        ("huge-learning-rate", ["pipeline"], refused("learning_rate", "1e6"), [], 0, ""),
         ("out-is-file-pipeline", ["pipeline"], _lean(), [], 2, f"{no_dir}: File exists"),
         ("out-is-file-train", ["train"], _lean(), [], 2, f"{no_dir}: File exists"),
         ("out-is-file-ablate", ["ablate"], _lean(), [], 2, f"{no_dir}: File exists"),
