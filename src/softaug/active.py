@@ -187,17 +187,14 @@ def _choose_k(points: np.ndarray, dists: np.ndarray, k_lo: int, k_hi: int, seed:
 
 def init_select(points: np.ndarray, clusters: ClusterResult) -> list[int]:
     """Nearest pool point to each centroid; distance ties pick the lowest index."""
-    chosen = []
-    for c in range(clusters.centroids.shape[0]):
-        d2 = np.sum((points - clusters.centroids[c]) ** 2, axis=1)
-        chosen.append(int(np.argmin(d2)))     # argmin breaks ties at lowest index
-    return sorted(set(chosen))
+    nearest = np.argmin(_sq_dists(points, clusters.centroids), axis=0)
+    return sorted(set(nearest.tolist()))
 
 
 @dataclass
 class SelectionState:
     labeled: list[int]
-    labels: dict[int, float] = field(default_factory=dict)
+    labels: list[float] = field(default_factory=list)     # parallel to `labeled`
     model: object = None
 
 
@@ -217,15 +214,14 @@ def igs_score(state: SelectionState, pool: np.ndarray) -> np.ndarray:
 def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
                 d_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scores and the d_y they were computed from."""
-    labeled_idx = np.asarray(state.labeled, dtype=int)
-    labeled_y = np.array([state.labels[i] for i in state.labeled])
+    labeled_y = np.asarray(state.labels, dtype=float)
     preds = np.asarray(state.model.predict(pool), dtype=float)
     d_y = np.abs(preds[:, None] - labeled_y[None, :]).min(axis=1)
 
     scores = np.zeros(pool.shape[0])
     mask = r > 0.0
     scores[mask] = d_x[mask] * d_y[mask] / r[mask]
-    scores[labeled_idx] = 0.0
+    scores[state.labeled] = 0.0
     return scores, d_y
 
 
@@ -264,30 +260,25 @@ def run_active_selection(
 
     clusters = kmeans(points, m0, derive_seed(seed, "kmeans"))
     labeled = init_select(points, clusters)
-    state = SelectionState(labeled=list(labeled))
-    for i in state.labeled:
-        state.labels[i] = float(oracle(i))
+    state = SelectionState(labeled, [float(oracle(i)) for i in labeled])
+    taken = np.zeros(m, dtype=bool)
+    taken[labeled] = True
 
     r = dists.sum(axis=1)
-    d_x = dists[:, state.labeled].min(axis=1)
+    d_x = dists[:, labeled].min(axis=1)
     records: list[AcquisitionRecord] = []
-    step = len(state.labeled)
     while len(state.labeled) < budget.total:
-        labeled_y = np.array([state.labels[i] for i in state.labeled])
-        state.model = KernelRidgeRegressor(ridge).fit(points[state.labeled], labeled_y)
+        state.model = KernelRidgeRegressor(ridge).fit(points[state.labeled], np.array(state.labels))
         scores, d_y = _igs_scores(state, points, r, d_x)
-        unlabeled = np.setdiff1d(np.arange(m), np.asarray(state.labeled, dtype=int))
-        best = int(unlabeled[np.argmax(scores[unlabeled])])   # ties: lowest index
-        step += 1
-        records.append(AcquisitionRecord(step, best, float(d_x[best]), float(d_y[best]),
-                                         float(r[best]), float(scores[best])))
+        best = int(np.argmax(np.where(taken, -np.inf, scores)))   # ties: lowest unlabeled index
         state.labeled.append(best)
-        state.labels[best] = float(oracle(best))
+        state.labels.append(float(oracle(best)))
+        taken[best] = True
+        records.append(AcquisitionRecord(len(state.labeled), best, float(d_x[best]),
+                                         float(d_y[best]), float(r[best]), float(scores[best])))
         d_x = np.minimum(d_x, dists[:, best])
 
-    idx = np.asarray(state.labeled, dtype=int)
-    selected = TabularDataset(points[idx],
-                              np.array([state.labels[i] for i in state.labeled]),
+    selected = TabularDataset(points[state.labeled], np.array(state.labels),
                               pool.columns, pool.label_name, "real")
     return selected, records
 

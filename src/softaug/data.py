@@ -163,7 +163,7 @@ def save_csv(ds: TabularDataset, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(f"# provenance={ds.provenance} rows={ds.n_rows}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(ds.columns) + [ds.label_name])
         for x, y in zip(ds.features, ds.labels):
             writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
@@ -199,35 +199,29 @@ def fit_normalizer(ds: TabularDataset) -> NormalizationSpec:
                              float(ds.labels.min()), float(ds.labels.max()))
 
 
-def _forward_col(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi <= lo:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)
-
-
-def _inverse_col(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return x * (hi - lo) + lo
+def _forward(x: np.ndarray, lo, hi) -> np.ndarray:
+    keep = ~np.less_equal(hi, lo)           # hi <= lo (a constant column) maps to 0.5
+    out = np.subtract(x, lo, out=np.full_like(x, 0.5), where=keep)
+    return np.divide(out, hi - lo, out=out, where=keep)
 
 
 def _map_columns(ds: TabularDataset, spec: NormalizationSpec, col_map) -> TabularDataset:
-    """Apply `col_map(column, lo, hi)` to every feature column and the labels."""
+    """Apply `col_map(values, lo, hi)` to the whole feature block and to the labels."""
     if ds.n_features != spec.feature_lo.shape[0]:
         raise ShapeError(
             f"dataset has {ds.n_features} features, normalizer expects "
             f"{spec.feature_lo.shape[0]}")
-    cols = [col_map(ds.features[:, j], spec.feature_lo[j], spec.feature_hi[j])
-            for j in range(ds.n_features)]
-    feats = np.column_stack(cols) if cols else ds.features.copy()
-    labels = col_map(ds.labels, spec.label_lo, spec.label_hi)
-    return TabularDataset(feats, labels, ds.columns, ds.label_name, ds.provenance)
+    return TabularDataset(col_map(ds.features, spec.feature_lo, spec.feature_hi),
+                          col_map(ds.labels, spec.label_lo, spec.label_hi),
+                          ds.columns, ds.label_name, ds.provenance)
 
 
 def apply_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDataset:
-    return _map_columns(ds, spec, _forward_col)
+    return _map_columns(ds, spec, _forward)
 
 
 def invert_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDataset:
-    return _map_columns(ds, spec, _inverse_col)
+    return _map_columns(ds, spec, lambda x, lo, hi: x * (hi - lo) + lo)
 
 
 # ------------------------------------------------------------------- splits

@@ -597,7 +597,11 @@ def run_score(cfg: ExperimentConfig, checkpoint, out_dir: str | Path | None = No
         if seed != cfg.seed:
             raise ConfigError(f"seed {cfg.seed} differs from seed {seed} "
                               f"that trained checkpoint {checkpoint}")
-        train_n = apply_normalizer(prepare(cfg, manifest).train_raw, normalizer)
+        train_raw = prepare(cfg, manifest).train_raw
+        if train_raw.n_features != model.n_features:
+            raise ConfigError(f"the config's dataset has {train_raw.n_features} features; "
+                              f"checkpoint {checkpoint} was trained on {model.n_features}")
+        train_n = apply_normalizer(train_raw, normalizer)
         batches, best, report = score_candidates(ranking, model, train_n, manifest, out)
     return len(batches), best, report
 

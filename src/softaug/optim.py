@@ -75,6 +75,8 @@ class Adam:
         self.step_count = t
 
 
+# a diverging fit overflows before Adam refuses its non-finite gradient
+@np.errstate(over="ignore", invalid="ignore")
 def fit_mse(nets: Sequence[Mlp], x: np.ndarray, y: np.ndarray, epochs: int,
             learning_rate: float) -> list[float]:
     """Full-batch Adam on the mean squared error of the chain `nets` on x against y.

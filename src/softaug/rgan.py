@@ -343,6 +343,8 @@ def pretrain_regressor(model: RganModel, train: TabularDataset,
                    config.pretrain_epochs, lr)
 
 
+# divergence overflows before the loss or Adam's gradient check refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_ds: TabularDataset, config: GanConfig,
           seed: int) -> tuple[RganModel, TrainTrace]:
     """Adversarial training: n_critic critic updates per generator update.

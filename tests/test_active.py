@@ -260,7 +260,7 @@ def test_init_select_deduplicates_shared_nearest():
 
 def test_igs_hand_case():
     pool = np.array([[0.0], [10.0], [4.0], [9.0]])
-    state = SelectionState(labeled=[0, 1], labels={0: 0.0, 1: 10.0},
+    state = SelectionState(labeled=[0, 1], labels=[0.0, 10.0],
                            model=_Identity())
     scores = igs_score(state, pool)
     assert scores[0] == 0.0 and scores[1] == 0.0
@@ -270,14 +270,14 @@ def test_igs_hand_case():
 
 def test_igs_coincident_point_scores_zero():
     pool = np.array([[0.0], [10.0], [0.0]])
-    state = SelectionState(labeled=[0, 1], labels={0: 0.0, 1: 10.0},
+    state = SelectionState(labeled=[0, 1], labels=[0.0, 10.0],
                            model=_Identity())
     assert igs_score(state, pool)[2] == 0.0
 
 
 def test_igs_duplicate_only_pool_scores_zero():
     pool = np.zeros((3, 1))
-    state = SelectionState(labeled=[0], labels={0: 0.5}, model=_Identity())
+    state = SelectionState(labeled=[0], labels=[0.5], model=_Identity())
     assert np.all(igs_score(state, pool) == 0.0)
 
 
@@ -286,7 +286,7 @@ def test_igs_requires_labels_and_model():
     with pytest.raises(ContractError):
         igs_score(SelectionState(labeled=[], model=_Identity()), pool)
     with pytest.raises(ContractError):
-        igs_score(SelectionState(labeled=[0], labels={0: 0.0}), pool)
+        igs_score(SelectionState(labeled=[0], labels=[0.0]), pool)
 
 
 def test_igs_scores_invariant_under_feature_scaling():
@@ -295,7 +295,7 @@ def test_igs_scores_invariant_under_feature_scaling():
     rng = np.random.default_rng(13)
     pool = rng.uniform(size=(10, 3))
     preds = rng.uniform(size=10)
-    state = SelectionState(labeled=[0, 4], labels={0: 0.3, 4: 0.8},
+    state = SelectionState(labeled=[0, 4], labels=[0.3, 0.8],
                            model=_Fixed(preds))
     base = igs_score(state, pool)
     scaled = igs_score(state, 37.0 * pool)
@@ -371,6 +371,24 @@ def test_acquisition_matches_naive_greedy_oracle():
     assert [rec.index for rec in records] == want
 
 
+def test_tied_zero_scores_acquire_the_lowest_unlabeled_index():
+    # every score ties at 0, the labeled rows' too: rows that repeat a
+    # labeled row have d_x = 0, and a constant label gives d_y = 0
+    repeated = _pool(np.tile([[0.0], [5.0]], (4, 1)), np.arange(8.0))
+    constant = _pool(np.arange(8.0)[::-1].reshape(-1, 1), np.zeros(8))
+    for pool, zero in ((repeated, "d_x"), (constant, "d_y")):
+        calls = []
+
+        def oracle(i):
+            calls.append(i)
+            return float(pool.labels[i])
+
+        _, records = run_active_selection(pool, oracle, LabelBudget(2, 6), seed=0)
+        unlabeled = [i for i in range(8) if i not in calls[:2]]
+        assert [r.index for r in records] == unlabeled[:4], zero
+        assert all(getattr(r, zero) == 0.0 and r.score == 0.0 for r in records), zero
+
+
 def test_acquired_indices_stay_disjoint():
     rng = np.random.default_rng(31)
     pool = _pool(rng.uniform(size=(12, 2)), rng.uniform(size=12))
@@ -401,7 +419,7 @@ def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
 
     def recording(state, points, r, d_x):
         scores, d_y = inner(state, points, r, d_x)
-        seen.append((list(state.labeled), dict(state.labels), state.model, scores))
+        seen.append((list(state.labeled), list(state.labels), state.model, scores))
         return scores, d_y
 
     monkeypatch.setattr(active, "_igs_scores", recording)

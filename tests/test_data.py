@@ -67,6 +67,18 @@ def test_csv_roundtrip(tmp_path):
     assert back.columns == ds.columns
 
 
+def test_csv_column_names_with_commas_roundtrip(tmp_path):
+    ds = TabularDataset(np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([0.5, 1.0]),
+                        ("flow, inlet", 'temp "C"'), label_name="y, out")
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    assert path.read_bytes().count(b"\n") == 4 and b"\r" not in path.read_bytes()
+    back = load_csv(path, "y, out")
+    assert back.columns == ds.columns and back.label_name == "y, out"
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+
+
 def test_load_csv_error_cases(tmp_path):
     p = tmp_path / "bad.csv"
     with pytest.raises(ParseError):
@@ -217,6 +229,41 @@ def test_constant_column_maps_to_half():
     out = apply_normalizer(ds, spec)
     assert np.all(out.features == 0.5)
     assert np.all(out.labels == 0.5)
+
+
+def _per_column(ds, spec, inverse):
+    """The normalizer mapped one column at a time, the reference for the whole-array one."""
+    def col(x, lo, hi):
+        if inverse:
+            return x * (hi - lo) + lo
+        return np.full_like(x, 0.5) if hi <= lo else (x - lo) / (hi - lo)
+    cols = [col(ds.features[:, j], spec.feature_lo[j], spec.feature_hi[j])
+            for j in range(ds.n_features)]
+    feats = np.column_stack(cols) if cols else ds.features.copy()
+    return feats, col(ds.labels, spec.label_lo, spec.label_hi)
+
+
+def test_normalizer_equals_the_per_column_formula_bit_for_bit():
+    rng = np.random.default_rng(23)
+    x = rng.normal(scale=50.0, size=(40, 5))
+    x[:, 2] = -3.25                                         # a constant column
+    ds = TabularDataset(x, rng.normal(size=40), tuple("abcde"))
+    one_row = TabularDataset(x[:1], np.array([4.0]), tuple("abcde"))
+    no_features = TabularDataset(np.zeros((3, 0)), np.array([1.0, 2.0, 4.0]), ())
+    # a checkpoint's spec may hold hi < lo, which maps like a constant column
+    reversed_spec = NormalizationSpec.from_dict({
+        "feature_lo": [-1.0, 2.0, -3.25, 0.0, 7.0], "feature_hi": [1.0, 1.0, -3.25, 2.0, 9.0],
+        "label_lo": 1.0, "label_hi": -1.0})
+    cases = [(ds, fit_normalizer(ds)), (one_row, fit_normalizer(one_row)),
+             (ds, fit_normalizer(one_row)), (ds, reversed_spec),
+             (no_features, fit_normalizer(no_features))]
+    for ds_, spec in cases:
+        for inverse, mapped in ((False, apply_normalizer), (True, invert_normalizer)):
+            out = mapped(ds_, spec)
+            feats, labels = _per_column(ds_, spec, inverse)
+            assert out.features.shape == feats.shape
+            assert out.features.tobytes() == feats.tobytes()
+            assert out.labels.tobytes() == labels.tobytes()
 
 
 def test_normalizer_spec_dict_roundtrip():

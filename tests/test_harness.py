@@ -541,6 +541,14 @@ def test_cli_select_train_generate_score(tmp_path):
     sc_manifest = json.loads((sc / "manifest.json").read_text())
     assert sc_manifest["quality"] == pipe_manifest["quality"]
     assert sum(b["selected"] for b in sc_manifest["quality"]["batches"]) == 1
+    assert _csvs_with_cr(tmp_path) == []
+
+
+def _csvs_with_cr(out):
+    """The CSVs under `out` that hold a carriage return; every line should end in \\n."""
+    csvs = sorted(out.rglob("*.csv"))
+    assert csvs
+    return [str(p.relative_to(out)) for p in csvs if b"\r" in p.read_bytes()]
 
 
 def test_cli_pipeline_writes_report(tmp_path):
@@ -548,6 +556,7 @@ def test_cli_pipeline_writes_report(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
     assert (out / "report.csv").exists()
+    assert _csvs_with_cr(out) == []
 
 
 def test_cli_checkpoint_normalizer_loads_or_raises_contract_error(tmp_path):
@@ -722,9 +731,10 @@ def _csv_cells_finite(out):
 
 
 def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, recwarn):
-    # each probe exits 2 or 3 with one line and no gan phase on record, or
-    # exits 0 with every CSV value finite; none warns (pytest records a
-    # warning instead of printing it, so the one-line check cannot see it)
+    # each probe exits 2 or 3 with one line and no gan phase on record,
+    # exits 4 with one line, or exits 0 with every CSV value finite; none
+    # warns (pytest records a warning instead of printing it, so the
+    # one-line check cannot see it)
     rng = np.random.default_rng(11)
 
     def pool_csv(name, x, y=None, header="x1,x2,y", **overrides):
@@ -765,6 +775,9 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     assert main(["train", "--config", _ini(tmp_path, _lean()),
                  "--out", str(ckpt.parent)]) == 0
     score = ["score", "--checkpoint", str(ckpt)]
+
+    def lean_gan(**overrides):
+        return _lean(gan=replace(_lean().gan, **overrides))
 
     def refused(key, value):
         # a lean config with one value its dataclass would refuse to hold
@@ -825,6 +838,20 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "noise_sd 1e+308 drives labels past the largest float"),
         # the sigmoid's exp overflows to inf, and 1 / (1 + inf) is exactly 0.0
         ("huge-learning-rate", ["pipeline"], refused("learning_rate", "1e6"), [], 0, ""),
+        # training overflows on its way to a finite end or to divergence
+        ("huge-gen-reg-weight", ["pipeline"], lean_gan(gen_reg_weight=1e308), [], 0, ""),
+        ("huge-gp-weight", ["pipeline"], lean_gan(gp_weight=1e308), [], 4,
+         "non-finite gradient at optimizer step"),
+        ("huge-critic-reg-weight", ["pipeline"], lean_gan(critic_reg_weight=1e308), [], 0, ""),
+        ("huge-gan-learning-rate", ["pipeline"], lean_gan(learning_rate=1e308), [], 4,
+         "non-finite gradient at optimizer step"),
+        ("huge-pretrain-lr", ["pipeline"], lean_gan(pretrain_lr=1e308), [], 4,
+         "non-finite gradient at optimizer step"),
+        ("huge-mlp-learning-rate", ["pipeline"],
+         _lean(models=("kernel-ridge", "mlp"), mlp_learning_rate=1e308), [], 4,
+         "non-finite gradient at optimizer step"),
+        ("score-other-width", score, _lean(dataset_name="friedman-like"), [], 2,
+         f"the config's dataset has 10 features; checkpoint {ckpt} was trained on 2"),
         ("out-is-file-pipeline", ["pipeline"], _lean(), [], 2, f"{no_dir}: File exists"),
         ("out-is-file-train", ["train"], _lean(), [], 2, f"{no_dir}: File exists"),
         ("out-is-file-ablate", ["ablate"], _lean(), [], 2, f"{no_dir}: File exists"),
@@ -846,10 +873,11 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
         assert not recwarn.list, (name, [str(w.message) for w in recwarn.list])
         if code:
             assert len(stderr.splitlines()) == 1, (name, stderr)
+        if code in (2, 3):
             manifest = out / "manifest.json"
             if manifest.exists():
                 phases = [p["name"] for p in json.loads(manifest.read_text())["phases"]]
                 assert "gan" not in phases, (name, phases)
             assert not (out / "base").exists(), name
-        else:
+        elif code == 0:
             assert _csv_cells_finite(out) is None, (name, _csv_cells_finite(out))
