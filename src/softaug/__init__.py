@@ -12,12 +12,12 @@ from .autodiff import Tensor, grad  # noqa: F401
 from .layers import Mlp, init_mlp  # noqa: F401
 from .optim import Adam  # noqa: F401
 from .data import (  # noqa: F401
-    TabularDataset, NormalizationSpec, SplitSpec, load_csv, save_csv,
+    TabularDataset, NormalizationSpec, load_csv, save_csv,
     fit_normalizer, apply_normalizer, invert_normalizer, split, synth_make,
     synth_names, concat,
 )
 from .regress import Metrics, fit, evaluate  # noqa: F401
-from .active import LabelBudget, run_active_selection, kmeans, choose_k  # noqa: F401
+from .active import run_active_selection, kmeans, choose_k  # noqa: F401
 from .quality import mmd2, diversity_score, select_best_batch  # noqa: F401
 from .rgan import (  # noqa: F401
     GanConfig, RganModel, TrainTrace, train, generate,

@@ -19,7 +19,6 @@ labeled and so is updated from the newest labeled point alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -39,19 +38,6 @@ class ClusterResult:
     centroids: np.ndarray          # (k, d)
     assignments: np.ndarray        # (m,) int
     inertia: float
-
-
-@dataclass(frozen=True)
-class LabelBudget:
-    initial: int | None            # None: pick by silhouette
-    total: int
-
-    def __post_init__(self):
-        if self.initial is not None and self.initial < 2:
-            raise BudgetError(f"initial labeled count must be >= 2, got {self.initial}")
-        if self.initial is not None and self.total < self.initial:
-            raise BudgetError(
-                f"total budget {self.total} below initial count {self.initial}")
 
 
 @dataclass
@@ -227,25 +213,30 @@ def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
 
 def run_active_selection(
     pool: TabularDataset,
-    oracle: Callable[[int], float],
-    budget: LabelBudget,
+    total: int,
     seed: int,
     ridge: float = 1e-3,
-) -> tuple[TabularDataset, list[AcquisitionRecord]]:
-    """Label `budget.total` pool points: clustering start, then greedy scores.
+    initial: int = 0,
+) -> tuple[list[int], list[AcquisitionRecord]]:
+    """Pick `total` pool rows: clustering start, then greedy scores.
 
-    `oracle(i)` reveals the label of pool row i and is only called for
-    acquired points. Returns the labeled training set (rows in acquisition
-    order) and the per-acquisition log. The model f behind d_y is kernel
-    ridge with `ridge`.
+    The clustering start picks `initial` rows, or a count chosen by
+    silhouette when `initial` is 0. A picked row's label is read from
+    `pool.labels`. Returns the picked pool indices in acquisition order and
+    the per-acquisition log. The model f behind d_y is kernel ridge with
+    `ridge`.
     """
+    if initial == 1 or initial < 0:
+        raise BudgetError(f"initial labeled count must be 0 or >= 2, got {initial}")
+    if initial and total < initial:
+        raise BudgetError(f"total budget {total} below initial count {initial}")
     points = pool.features
     m = points.shape[0]
-    if budget.total > m:
-        raise BudgetError(f"budget {budget.total} exceeds pool size {m}")
+    if total > m:
+        raise BudgetError(f"budget {total} exceeds pool size {m}")
     _check_scale(points, pool.columns)
     dists = _pool_dists(points)
-    if budget.initial is None:
+    if not initial:
         if m // 2 < 2:
             raise BudgetError(f"pool of {m} is too small to choose an initial count")
         distinct = np.unique(points, axis=0).shape[0]
@@ -253,34 +244,28 @@ def run_active_selection(
             raise DegeneracyError(
                 f"pool has {distinct} distinct row(s); choosing an initial count needs 2")
         k_hi = min(10, m // 2, distinct)
-        m0 = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"))
-    else:
-        m0 = budget.initial
-    m0 = min(m0, budget.total)
+        initial = _choose_k(points, dists, 2, k_hi, derive_seed(seed, "choose-k"))
 
-    clusters = kmeans(points, m0, derive_seed(seed, "kmeans"))
+    clusters = kmeans(points, min(initial, total), derive_seed(seed, "kmeans"))
     labeled = init_select(points, clusters)
-    state = SelectionState(labeled, [float(oracle(i)) for i in labeled])
+    state = SelectionState(labeled, pool.labels[labeled].tolist())
     taken = np.zeros(m, dtype=bool)
     taken[labeled] = True
 
     r = dists.sum(axis=1)
     d_x = dists[:, labeled].min(axis=1)
     records: list[AcquisitionRecord] = []
-    while len(state.labeled) < budget.total:
+    while len(state.labeled) < total:
         state.model = KernelRidgeRegressor(ridge).fit(points[state.labeled], np.array(state.labels))
         scores, d_y = _igs_scores(state, points, r, d_x)
         best = int(np.argmax(np.where(taken, -np.inf, scores)))   # ties: lowest unlabeled index
         state.labeled.append(best)
-        state.labels.append(float(oracle(best)))
+        state.labels.append(float(pool.labels[best]))
         taken[best] = True
         records.append(AcquisitionRecord(len(state.labeled), best, float(d_x[best]),
                                          float(d_y[best]), float(r[best]), float(scores[best])))
         d_x = np.minimum(d_x, dists[:, best])
-
-    selected = TabularDataset(points[state.labeled], np.array(state.labels),
-                              pool.columns, pool.label_name, "real")
-    return selected, records
+    return state.labeled, records
 
 
 def _check_scale(points: np.ndarray, columns) -> None:

@@ -226,25 +226,16 @@ def invert_normalizer(ds: TabularDataset, spec: NormalizationSpec) -> TabularDat
 
 # ------------------------------------------------------------------- splits
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_count: int
-    test_count: int
-    seed: int
-
-
-def split(ds: TabularDataset, spec: SplitSpec) -> tuple[TabularDataset, TabularDataset]:
+def split(ds: TabularDataset, train_count: int, test_count: int,
+          seed: int) -> tuple[TabularDataset, TabularDataset]:
     """Disjoint (train, test) via a seeded permutation."""
-    if spec.train_count < 0 or spec.test_count < 0:
+    if train_count < 0 or test_count < 0:
         raise BudgetError("split counts must be non-negative")
-    if spec.train_count + spec.test_count > ds.n_rows:
+    if train_count + test_count > ds.n_rows:
         raise BudgetError(
-            f"split wants {spec.train_count}+{spec.test_count} rows, "
-            f"dataset has {ds.n_rows}")
-    perm = SeededRng(spec.seed).permutation(ds.n_rows)
-    train_idx = perm[:spec.train_count]
-    test_idx = perm[spec.train_count:spec.train_count + spec.test_count]
-    return ds.take(train_idx), ds.take(test_idx)
+            f"split wants {train_count}+{test_count} rows, dataset has {ds.n_rows}")
+    perm = SeededRng(seed).permutation(ds.n_rows)
+    return ds.take(perm[:train_count]), ds.take(perm[train_count:train_count + test_count])
 
 
 # ---------------------------------------------------------------- synthetics

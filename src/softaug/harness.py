@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .active import AcquisitionRecord, LabelBudget, run_active_selection
-from .data import (NormalizationSpec, SplitSpec, TabularDataset,
+from .active import AcquisitionRecord, run_active_selection
+from .data import (NormalizationSpec, TabularDataset,
                    apply_normalizer, concat, fit_normalizer, invert_normalizer,
                    load_csv, save_csv, split, synth_make)
 from .errors import BudgetError, ConfigError, ContractError
@@ -370,19 +370,22 @@ class Prepared:
     pool: TabularDataset
     train_raw: TabularDataset
     acquisitions: list[AcquisitionRecord]
-    normalizer: NormalizationSpec      # fitted on train_raw
+    normalizer: NormalizationSpec      # fitted on train_raw, or a checkpoint's
     train_set: TabularDataset          # normalized
     test_set: TabularDataset           # normalized
 
 
-def prepare(cfg: ExperimentConfig, manifest: RunManifest,
-            out: Path | None = None) -> Prepared:
+def prepare(cfg: ExperimentConfig, manifest: RunManifest, out: Path | None = None,
+            checkpoint: tuple[str | Path, NormalizationSpec] | None = None) -> Prepared:
     """Load -> split -> select -> normalize, the prelude of every command.
 
     Records the data, selection and normalize phases and the dataset and
     selection blocks in `manifest`; a failure leaves its phase last. With
-    `out`, writes acquisition.csv when selecting actively.
+    `out`, writes acquisition.csv when selecting actively. `checkpoint`, a
+    checkpoint's path and normalizer, must match the dataset's width, and its
+    normalizer is applied in place of one fitted on the training rows.
     """
+    path, normalizer = checkpoint or (None, None)
     with _phase(manifest, "data"):
         if cfg.source == "csv":
             full = load_csv(cfg.csv_path, cfg.label_column)
@@ -391,23 +394,24 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest,
                               derive_seed(cfg.seed, "data"))
         manifest.dataset = {"rows": full.n_rows, "features": full.n_features,
                             "columns": list(full.columns)}
+        if normalizer is not None and full.n_features != len(normalizer.feature_lo):
+            raise ConfigError(f"the config's dataset has {full.n_features} features; "
+                              f"checkpoint {path} was trained on {len(normalizer.feature_lo)}")
         pool_count = full.n_rows - cfg.test_count
         if pool_count < cfg.train_count:
             raise BudgetError(
                 f"dataset of {full.n_rows} rows leaves a pool of {pool_count} "
                 f"for a train budget of {cfg.train_count}")
-        pool, test = split(full, SplitSpec(pool_count, cfg.test_count,
-                                           derive_seed(cfg.seed, "split")))
+        pool, test = split(full, pool_count, cfg.test_count, derive_seed(cfg.seed, "split"))
     with _phase(manifest, "selection"):
         if cfg.active_enabled:
-            budget = LabelBudget(initial=cfg.initial_count or None, total=cfg.train_count)
-            train_raw, acquisitions = run_active_selection(
-                pool, lambda i: float(pool.labels[i]), budget,
-                derive_seed(cfg.seed, "active"), cfg.ridge)
+            rows, acquisitions = run_active_selection(
+                pool, cfg.train_count, derive_seed(cfg.seed, "active"), cfg.ridge,
+                cfg.initial_count)
         else:
             rng = SeededRng(derive_seed(cfg.seed, "subset"))
-            train_raw = pool.take(rng.permutation(pool.n_rows)[:cfg.train_count])
-            acquisitions = []
+            rows, acquisitions = rng.permutation(pool.n_rows)[:cfg.train_count], []
+        train_raw = pool.take(rows)
         manifest.selection = {
             "method": "active" if cfg.active_enabled else "random",
             "acquisitions": [asdict(r) for r in acquisitions],
@@ -415,7 +419,8 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest,
         if out and acquisitions:
             write_csv(out / "acquisition.csv", ACQ_HEADER, [astuple(r) for r in acquisitions])
     with _phase(manifest, "normalize"):
-        normalizer = fit_normalizer(train_raw)
+        if normalizer is None:
+            normalizer = fit_normalizer(train_raw)
         return Prepared(pool, train_raw, acquisitions, normalizer,
                         apply_normalizer(train_raw, normalizer),
                         apply_normalizer(test, normalizer))
@@ -597,11 +602,7 @@ def run_score(cfg: ExperimentConfig, checkpoint, out_dir: str | Path | None = No
         if seed != cfg.seed:
             raise ConfigError(f"seed {cfg.seed} differs from seed {seed} "
                               f"that trained checkpoint {checkpoint}")
-        train_raw = prepare(cfg, manifest).train_raw
-        if train_raw.n_features != model.n_features:
-            raise ConfigError(f"the config's dataset has {train_raw.n_features} features; "
-                              f"checkpoint {checkpoint} was trained on {model.n_features}")
-        train_n = apply_normalizer(train_raw, normalizer)
+        train_n = prepare(cfg, manifest, checkpoint=(checkpoint, normalizer)).train_set
         batches, best, report = score_candidates(ranking, model, train_n, manifest, out)
     return len(batches), best, report
 

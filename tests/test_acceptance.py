@@ -19,7 +19,7 @@ from conftest import (brute_force_greedy, central_difference, kink_safe_seed,
 from softaug import (ExperimentConfig, GanConfig, RganModel, SeededRng,
                      generate, run_pipeline, train)
 from softaug import autodiff as ad
-from softaug.active import LabelBudget, init_select, kmeans, run_active_selection
+from softaug.active import init_select, kmeans, run_active_selection
 from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
 from softaug.layers import SLOPE
@@ -188,9 +188,7 @@ def test_criterion_03_acquisition_matches_brute_force():
                               tuple(f"x{j+1}" for j in range(d)), "y", "real")
         clusters = kmeans(pool.features, k_init, derive_seed(k, "kmeans"))
         initial = init_select(pool.features, clusters)
-        _, records = run_active_selection(
-            pool, lambda i: float(pool.labels[i]), LabelBudget(k_init, total),
-            seed=k)
+        _, records = run_active_selection(pool, total, seed=k, initial=k_init)
         want = brute_force_greedy(pool, initial, total)
         all_match = all_match and [r.index for r in records] == want
     elapsed = time.perf_counter() - t0

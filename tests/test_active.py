@@ -6,7 +6,7 @@ import pytest
 
 from conftest import brute_force_greedy, traced_peak
 
-from softaug import LabelBudget, choose_k, kmeans, run_active_selection
+from softaug import choose_k, kmeans, run_active_selection
 from softaug import active
 from softaug.active import (POOL_BLOCK, ClusterResult, SelectionState, _pool_dists,
                             _sq_dists, igs_score, init_select, silhouette_mean)
@@ -306,17 +306,20 @@ def test_igs_scores_invariant_under_feature_scaling():
 # ------------------------------------------------------- run_active_selection
 
 def test_budget_validation():
-    with pytest.raises(BudgetError):
-        LabelBudget(1, 5)
-    with pytest.raises(BudgetError):
-        LabelBudget(4, 3)
-    LabelBudget(None, 3)            # silhouette-chosen initial count
+    pool = _pool(np.arange(6.0).reshape(-1, 1))
+    for initial, total, message in ((1, 5, "must be 0 or >= 2, got 1"),
+                                    (-1, 5, "must be 0 or >= 2, got -1"),
+                                    (4, 3, "total budget 3 below initial count 4")):
+        with pytest.raises(BudgetError, match=message):
+            run_active_selection(pool, total, seed=0, initial=initial)
+    assert len(run_active_selection(pool, 3, seed=0)[0]) == 3     # silhouette-chosen count
+    assert run_active_selection(pool, 2, seed=0, initial=2)[1] == []
 
 
 def test_third_acquisition_on_hand_pool():
     pool = _pool([[0.0], [10.0], [4.0], [9.0]])
-    selected, records = run_active_selection(
-        pool, lambda i: float(pool.labels[i]), LabelBudget(2, 3), seed=0)
+    rows, records = run_active_selection(pool, 3, seed=0, initial=2)
+    selected = pool.take(rows)
     assert [rec.index for rec in records] == [2]
     rec = records[0]
     assert rec.step == 3 and rec.d_x == 4.0 and rec.r == 15.0
@@ -332,30 +335,16 @@ def test_third_acquisition_on_hand_pool():
 
 def test_full_budget_returns_whole_pool():
     pool = _pool([[0.0], [10.0], [4.0], [9.0]])
-    calls = []
-
-    def oracle(i):
-        calls.append(i)
-        return float(pool.labels[i])
-
-    selected, _ = run_active_selection(pool, oracle, LabelBudget(2, 4), seed=0)
-    assert sorted(calls) == [0, 1, 2, 3]
-    assert len(calls) == 4          # each label revealed exactly once
-    assert np.array_equal(np.sort(selected.features.ravel()),
-                          np.sort(pool.features.ravel()))
-    assert selected.provenance == "real"
-    assert selected.columns == pool.columns
+    rows, _ = run_active_selection(pool, 4, seed=0, initial=2)
+    assert sorted(rows) == [0, 1, 2, 3]         # each row picked exactly once
 
 
 def test_selection_is_deterministic():
     rng = np.random.default_rng(17)
     pool = _pool(rng.uniform(size=(15, 2)), rng.uniform(size=15))
-    runs = [run_active_selection(pool, lambda i: float(pool.labels[i]),
-                                 LabelBudget(3, 7), seed=21)
-            for _ in range(2)]
-    (sel_a, rec_a), (sel_b, rec_b) = runs
-    assert np.array_equal(sel_a.features, sel_b.features)
-    assert np.array_equal(sel_a.labels, sel_b.labels)
+    runs = [run_active_selection(pool, 7, seed=21, initial=3) for _ in range(2)]
+    (rows_a, rec_a), (rows_b, rec_b) = runs
+    assert rows_a == rows_b
     assert [r.__dict__ for r in rec_a] == [r.__dict__ for r in rec_b]
 
 
@@ -365,8 +354,7 @@ def test_acquisition_matches_naive_greedy_oracle():
     seed = 5
     clusters = kmeans(pool.features, 3, derive_seed(seed, "kmeans"))
     initial = init_select(pool.features, clusters)
-    _, records = run_active_selection(
-        pool, lambda i: float(pool.labels[i]), LabelBudget(3, 8), seed)
+    _, records = run_active_selection(pool, 8, seed, initial=3)
     want = brute_force_greedy(pool, initial, 8)
     assert [rec.index for rec in records] == want
 
@@ -377,24 +365,30 @@ def test_tied_zero_scores_acquire_the_lowest_unlabeled_index():
     repeated = _pool(np.tile([[0.0], [5.0]], (4, 1)), np.arange(8.0))
     constant = _pool(np.arange(8.0)[::-1].reshape(-1, 1), np.zeros(8))
     for pool, zero in ((repeated, "d_x"), (constant, "d_y")):
-        calls = []
-
-        def oracle(i):
-            calls.append(i)
-            return float(pool.labels[i])
-
-        _, records = run_active_selection(pool, oracle, LabelBudget(2, 6), seed=0)
-        unlabeled = [i for i in range(8) if i not in calls[:2]]
+        rows, records = run_active_selection(pool, 6, seed=0, initial=2)
+        unlabeled = [i for i in range(8) if i not in rows[:2]]
         assert [r.index for r in records] == unlabeled[:4], zero
         assert all(getattr(r, zero) == 0.0 and r.score == 0.0 for r in records), zero
+
+
+def test_labels_of_unpicked_rows_change_nothing():
+    # selection reads a label only once it has picked the row, so any other
+    # label of an unpicked row gives the same picks and the same log
+    rng = np.random.default_rng(37)
+    x, y = rng.uniform(size=(40, 2)), rng.uniform(size=40)
+    for initial in (3, 0):
+        rows, records = run_active_selection(_pool(x, y), 12, seed=6, initial=initial)
+        other = rng.uniform(-50.0, 50.0, size=40)
+        other[rows] = y[rows]
+        assert run_active_selection(_pool(x, other), 12, seed=6,
+                                    initial=initial) == (rows, records), initial
 
 
 def test_acquired_indices_stay_disjoint():
     rng = np.random.default_rng(31)
     pool = _pool(rng.uniform(size=(12, 2)), rng.uniform(size=12))
-    selected, records = run_active_selection(
-        pool, lambda i: float(pool.labels[i]), LabelBudget(2, 9), seed=3)
-    rows = [tuple(row) for row in selected.features]
+    picked_rows, records = run_active_selection(pool, 9, seed=3, initial=2)
+    rows = [tuple(row) for row in pool.take(picked_rows).features]
     assert len(set(rows)) == len(rows) == 9
     picked = [rec.index for rec in records]
     assert len(set(picked)) == len(picked)
@@ -403,9 +397,8 @@ def test_acquired_indices_stay_disjoint():
 def test_auto_initial_count_uses_silhouette():
     points = _blobs([(0, 0), (10, 10)], 6, 0.2, seed=8)
     pool = _pool(points, points.sum(axis=1))
-    selected, records = run_active_selection(
-        pool, lambda i: float(pool.labels[i]), LabelBudget(None, 6), seed=2)
-    assert selected.features.shape == (6, 2)
+    rows, records = run_active_selection(pool, 6, seed=2)
+    assert pool.take(rows).features.shape == (6, 2)
     assert len(records) == 4        # two blobs → two initial picks
 
 
@@ -423,7 +416,7 @@ def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
         return scores, d_y
 
     monkeypatch.setattr(active, "_igs_scores", recording)
-    run_active_selection(pool, lambda i: float(pool.labels[i]), LabelBudget(3, 9), seed=7)
+    run_active_selection(pool, 9, seed=7, initial=3)
     monkeypatch.undo()
     assert len(seen) == 6
     for labeled, labels, model, scores in seen:
@@ -436,8 +429,7 @@ def test_records_hold_the_components_that_produced_each_score():
     # recomputed from its own fields with the same float operations
     rng = np.random.default_rng(47)
     pool = _pool(rng.uniform(size=(300, 10)), rng.uniform(size=300))
-    _, records = run_active_selection(pool, lambda i: float(pool.labels[i]),
-                                      LabelBudget(3, 40), seed=9)
+    _, records = run_active_selection(pool, 40, seed=9, initial=3)
     assert len(records) == 37
     assert [r.score for r in records] == [r.d_x * r.d_y / r.r for r in records]
 
@@ -445,21 +437,21 @@ def test_records_hold_the_components_that_produced_each_score():
 def test_auto_initial_count_capped_at_distinct_rows():
     base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
     pool = _pool(np.repeat(base, 20, axis=0), np.repeat([0.0, 1.0, 2.0], 20))
-    selected, _ = run_active_selection(
-        pool, lambda i: float(pool.labels[i]), LabelBudget(None, 10), seed=0)
+    rows, _ = run_active_selection(pool, 10, seed=0)
+    selected = pool.take(rows)
     assert selected.features.shape == (10, 2)
     assert {tuple(row) for row in selected.features} == {tuple(row) for row in base}
     same = _pool(np.zeros((60, 2)), np.zeros(60))
     with pytest.raises(DegeneracyError, match="1 distinct"):
-        run_active_selection(same, lambda i: 0.0, LabelBudget(None, 10), seed=0)
+        run_active_selection(same, 10, seed=0)
 
 
 def test_budget_overdraft_and_tiny_pool_errors():
     pool = _pool([[0.0], [1.0], [2.0]])
     with pytest.raises(BudgetError):
-        run_active_selection(pool, lambda i: 0.0, LabelBudget(2, 4), seed=0)
+        run_active_selection(pool, 4, seed=0, initial=2)
     with pytest.raises(BudgetError):
-        run_active_selection(pool, lambda i: 0.0, LabelBudget(None, 3), seed=0)
+        run_active_selection(pool, 3, seed=0)
 
 
 def test_selection_refuses_features_whose_distances_overflow():
@@ -468,8 +460,7 @@ def test_selection_refuses_features_whose_distances_overflow():
     labels = rng.uniform(size=30)
 
     def select(features):
-        return run_active_selection(_pool(features, labels), lambda i: float(labels[i]),
-                                    LabelBudget(3, 8), seed=4)
+        return run_active_selection(_pool(features, labels), 8, seed=4, initial=3)
 
     # an exact power-of-two scale leaves every selection quantity finite
     plain, big = select(x), select(x * [1.0, 2.0 ** 500, 1.0])

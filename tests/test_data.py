@@ -4,7 +4,7 @@ import pytest
 
 from conftest import traced_peak
 
-from softaug import (NormalizationSpec, SplitSpec, TabularDataset, concat,
+from softaug import (NormalizationSpec, TabularDataset, concat,
                      apply_normalizer, fit_normalizer, invert_normalizer,
                      load_csv, save_csv, split, synth_make, synth_names)
 from softaug.data import synth_truth
@@ -279,8 +279,8 @@ def test_normalizer_spec_dict_roundtrip():
 def test_split_disjoint_deterministic():
     ds = _toy(30, 2, seed=1)
     for seed in (0, 1, 99):
-        a1, b1 = split(ds, SplitSpec(20, 10, seed))
-        a2, b2 = split(ds, SplitSpec(20, 10, seed))
+        a1, b1 = split(ds, 20, 10, seed)
+        a2, b2 = split(ds, 20, 10, seed)
         assert np.array_equal(a1.features, a2.features)
         assert np.array_equal(b1.labels, b2.labels)
         joined = np.vstack([a1.joint(), b1.joint()])
@@ -292,7 +292,7 @@ def test_split_disjoint_deterministic():
 def test_split_rejects_overdraw():
     ds = _toy(10, 2)
     with pytest.raises(BudgetError):
-        split(ds, SplitSpec(8, 5, 0))
+        split(ds, 8, 5, 0)
 
 
 # -------------------------------------------------------------- synthetics

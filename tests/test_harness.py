@@ -730,6 +730,23 @@ def _csv_cells_finite(out):
     return None
 
 
+# values every probed key is set to; the keys left out name files and folders
+PROBE_VALUES = ("0", "-1", "nan", "x")
+UNPROBED_KEYS = ("source", "path", "out_dir")
+
+
+def _with_value(ini: str, section: str, key: str, value: str) -> str:
+    """`ini` with `key` of `[section]` set to `value`."""
+    lines, current = [], None
+    for line in ini.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.startswith(f"{key} = "):
+            line = f"{key} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, recwarn):
     # each probe exits 2 or 3 with one line and no gan phase on record,
     # exits 4 with one line, or exits 0 with every CSV value finite; none
@@ -779,11 +796,9 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     def lean_gan(**overrides):
         return _lean(gan=replace(_lean().gan, **overrides))
 
-    def refused(key, value):
+    def refused(section, key, value):
         # a lean config with one value its dataclass would refuse to hold
-        lines = config_to_ini(_lean()).splitlines()
-        return "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
-                         for line in lines) + "\n"
+        return _with_value(config_to_ini(_lean()), section, key, value)
 
     # (name, command, config or None, extra flags, exit code, stderr fragment);
     # a config is written to <name>.ini and the run goes to --out <name>
@@ -793,11 +808,11 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
     outs["out-below-file"] = occupied / "run"
     no_dir = f"cannot create output directory {occupied}"
     table = [
-        ("tiny-width", ["pipeline"], refused("bandwidth", "1e-300"), [], 2,
+        ("tiny-width", ["pipeline"], refused("quality", "bandwidth", "1e-300"), [], 2,
          "2*bandwidth**2 is positive and finite, got '1e-300'"),
-        ("huge-width", ["pipeline"], refused("bandwidth", "1e155"), [], 2,
+        ("huge-width", ["pipeline"], refused("quality", "bandwidth", "1e155"), [], 2,
          "2*bandwidth**2 is positive and finite, got '1e155'"),
-        ("zero-ridge", ["pipeline"], refused("ridge", "0"), [], 2,
+        ("zero-ridge", ["pipeline"], refused("downstream", "ridge", "0"), [], 2,
          "ridge must be finite and > 0, got 0.0"),
         ("huge-features", ["pipeline"], huge, [], 3, "column(s) x1 reach"),
         ("huge-features-select", ["select"], huge, [], 3, "column(s) x1 reach"),
@@ -816,11 +831,12 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "label_only.csv: no feature column besides the label column 'y'"),
         ("label-only-random", ["pipeline"], label_only_random, [], 3,
          "label_only.csv: no feature column besides the label column 'y'"),
-        ("repeated-model", ["pipeline"], refused("models", "mlp, mlp, kernel-ridge"), [], 2,
+        ("repeated-model", ["pipeline"],
+         refused("downstream", "models", "mlp, mlp, kernel-ridge"), [], 2,
          "downstream model 'mlp' is listed more than once"),
-        ("initial-one", ["pipeline"], refused("initial_count", "1"), [], 2,
+        ("initial-one", ["pipeline"], refused("active", "initial_count", "1"), [], 2,
          "initial_count must be 0 or within [2, train_count 16], got 1"),
-        ("initial-above-budget", ["pipeline"], refused("initial_count", "17"), [], 2,
+        ("initial-above-budget", ["pipeline"], refused("active", "initial_count", "17"), [], 2,
          "initial_count must be 0 or within [2, train_count 16], got 17"),
         ("amount-below-folds", ["sweep-amount"], _lean(), ["--amounts", "0,2,24"], 2,
          "amount 2: generated_count 2 is below ds_folds 3"),
@@ -834,10 +850,10 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
          "latin1.csv: not UTF-8 text (invalid start byte 0xff)"),
         ("long-field", ["select"], long_field_csv, [], 3,
          "long_field.csv: line 2: field larger than field limit (131072)"),
-        ("huge-noise", ["pipeline"], refused("noise_sd", "1e308"), [], 2,
+        ("huge-noise", ["pipeline"], refused("dataset", "noise_sd", "1e308"), [], 2,
          "noise_sd 1e+308 drives labels past the largest float"),
         # the sigmoid's exp overflows to inf, and 1 / (1 + inf) is exactly 0.0
-        ("huge-learning-rate", ["pipeline"], refused("learning_rate", "1e6"), [], 0, ""),
+        ("huge-learning-rate", ["pipeline"], refused("gan", "learning_rate", "1e6"), [], 0, ""),
         # training overflows on its way to a finite end or to divergence
         ("huge-gen-reg-weight", ["pipeline"], lean_gan(gen_reg_weight=1e308), [], 0, ""),
         ("huge-gp-weight", ["pipeline"], lean_gan(gp_weight=1e308), [], 4,
@@ -881,3 +897,39 @@ def test_cli_boundary_probes_refuse_early_or_finish_finite(tmp_path, capsys, rec
             assert not (out / "base").exists(), name
         elif code == 0:
             assert _csv_cells_finite(out) is None, (name, _csv_cells_finite(out))
+    # a width mismatch is refused in the data phase, before selection runs
+    manifest = json.loads((tmp_path / "score-other-width" / "manifest.json").read_text())
+    assert [p["name"] for p in manifest["phases"]] == ["data"]
+
+
+def test_every_schema_key_refuses_or_runs_finite(tmp_path, capsys, recwarn):
+    # each probe exits 2, 3 or 4 with one stderr line, or exits 0 with an
+    # empty stderr and every CSV value finite; none warns. The one NaN
+    # allowed: critic_reg_weight = 0 turns the critic's regression term off,
+    # and trace.csv's regression_loss column reads NaN for it. Both models
+    # run, so the [downstream] mlp keys reach a fit
+    base = config_to_ini(_lean(models=("kernel-ridge", "mlp")))
+    probes = [(section, key, value) for section, keys in _SCHEMA.items()
+              for key in keys if key not in UNPROBED_KEYS for value in PROBE_VALUES]
+    assert len(probes) == 4 * (sum(map(len, _SCHEMA.values())) - len(UNPROBED_KEYS))
+    for section, key, value in probes:
+        name = f"{section}.{key}={value}"
+        path = tmp_path / f"{name}.ini"
+        path.write_text(_with_value(base, section, key, value))
+        out = tmp_path / name
+        got = main(["pipeline", "--config", str(path), "--out", str(out)])
+        stderr = capsys.readouterr().err
+        assert got in (0, 2, 3, 4), (name, got, stderr)
+        assert not recwarn.list, (name, [str(w.message) for w in recwarn.list])
+        assert len(stderr.splitlines()) == (1 if got else 0), (name, stderr)
+        if got:
+            continue
+        if (key, value) == ("critic_reg_weight", "0"):
+            trace = out / "trace.csv"
+            lines = trace.read_text().splitlines()
+            column = lines[0].split(",").index("regression_loss")
+            cells = [line.split(",") for line in lines[1:]]
+            assert all(np.isnan(float(c[column])) for c in cells), name
+            trace.write_text("\n".join(",".join(c[:column] + c[column + 1:])
+                                       for c in cells) + "\n")
+        assert _csv_cells_finite(out) is None, (name, _csv_cells_finite(out))
