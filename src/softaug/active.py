@@ -18,7 +18,7 @@ labeled and so is updated from the newest labeled point alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,37 +177,34 @@ def init_select(points: np.ndarray, clusters: ClusterResult) -> list[int]:
     return sorted(set(nearest.tolist()))
 
 
-@dataclass
-class SelectionState:
-    labeled: list[int]
-    labels: list[float] = field(default_factory=list)     # parallel to `labeled`
-    model: object = None
+def igs_score(model, pool: np.ndarray, labeled: list[int], labels) -> np.ndarray:
+    """Scores for every pool point; labeled entries get 0 (never re-picked).
 
-
-def igs_score(state: SelectionState, pool: np.ndarray) -> np.ndarray:
-    """Scores for every pool point; labeled entries get 0 (never re-picked)."""
+    `labels` are the labels of the `labeled` pool indices, in their order,
+    and `model` is the fitted f behind d_y.
+    """
     pool = np.asarray(pool, dtype=float)
-    if not state.labeled:
+    if not len(labeled):
         raise ContractError("scoring needs at least one labeled point")
-    if state.model is None:
+    if model is None:
         raise ContractError("scoring needs a fitted model for d_y")
     dists = _pool_dists(pool)
     r = dists.sum(axis=1)                              # over the whole pool
-    d_x = dists[:, state.labeled].min(axis=1)
-    return _igs_scores(state, pool, r, d_x)[0]
+    d_x = dists[:, labeled].min(axis=1)
+    return _igs_scores(model.predict(pool), labeled, labels, r, d_x)[0]
 
 
-def _igs_scores(state: SelectionState, pool: np.ndarray, r: np.ndarray,
+def _igs_scores(preds, labeled: list[int], labels, r: np.ndarray,
                 d_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The scores and the d_y they were computed from."""
-    labeled_y = np.asarray(state.labels, dtype=float)
-    preds = np.asarray(state.model.predict(pool), dtype=float)
+    """The scores from the model's pool predictions, and the d_y they used."""
+    labeled_y = np.asarray(labels, dtype=float)
+    preds = np.asarray(preds, dtype=float)
     d_y = np.abs(preds[:, None] - labeled_y[None, :]).min(axis=1)
 
-    scores = np.zeros(pool.shape[0])
+    scores = np.zeros(r.shape[0])
     mask = r > 0.0
     scores[mask] = d_x[mask] * d_y[mask] / r[mask]
-    scores[state.labeled] = 0.0
+    scores[labeled] = 0.0
     return scores, d_y
 
 
@@ -248,24 +245,24 @@ def run_active_selection(
 
     clusters = kmeans(points, min(initial, total), derive_seed(seed, "kmeans"))
     labeled = init_select(points, clusters)
-    state = SelectionState(labeled, pool.labels[labeled].tolist())
+    labels = pool.labels[labeled].tolist()                # parallel to `labeled`
     taken = np.zeros(m, dtype=bool)
     taken[labeled] = True
 
     r = dists.sum(axis=1)
     d_x = dists[:, labeled].min(axis=1)
     records: list[AcquisitionRecord] = []
-    while len(state.labeled) < total:
-        state.model = KernelRidgeRegressor(ridge).fit(points[state.labeled], np.array(state.labels))
-        scores, d_y = _igs_scores(state, points, r, d_x)
+    while len(labeled) < total:
+        model = KernelRidgeRegressor(ridge).fit(points[labeled], np.array(labels))
+        scores, d_y = _igs_scores(model.predict(points), labeled, labels, r, d_x)
         best = int(np.argmax(np.where(taken, -np.inf, scores)))   # ties: lowest unlabeled index
-        state.labeled.append(best)
-        state.labels.append(float(pool.labels[best]))
+        labeled.append(best)
+        labels.append(float(pool.labels[best]))
         taken[best] = True
-        records.append(AcquisitionRecord(len(state.labeled), best, float(d_x[best]),
+        records.append(AcquisitionRecord(len(labeled), best, float(d_x[best]),
                                          float(d_y[best]), float(r[best]), float(scores[best])))
         d_x = np.minimum(d_x, dists[:, best])
-    return state.labeled, records
+    return labeled, records
 
 
 def _check_scale(points: np.ndarray, columns) -> None:

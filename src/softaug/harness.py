@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .active import AcquisitionRecord, run_active_selection
+from .active import run_active_selection
 from .data import (NormalizationSpec, TabularDataset,
                    apply_normalizer, concat, fit_normalizer, invert_normalizer,
                    load_csv, save_csv, split, synth_make)
@@ -366,13 +366,13 @@ class PipelineResult:
 
 @dataclass(frozen=True)
 class Prepared:
-    """The split, the selected training rows and both sets normalized."""
+    """The split, the selected training rows, raw and normalized, and the
+    raw test rows, which only `run_pipeline` normalizes."""
     pool: TabularDataset
     train_raw: TabularDataset
-    acquisitions: list[AcquisitionRecord]
     normalizer: NormalizationSpec      # fitted on train_raw, or a checkpoint's
     train_set: TabularDataset          # normalized
-    test_set: TabularDataset           # normalized
+    test_raw: TabularDataset
 
 
 def prepare(cfg: ExperimentConfig, manifest: RunManifest, out: Path | None = None,
@@ -421,9 +421,8 @@ def prepare(cfg: ExperimentConfig, manifest: RunManifest, out: Path | None = Non
     with _phase(manifest, "normalize"):
         if normalizer is None:
             normalizer = fit_normalizer(train_raw)
-        return Prepared(pool, train_raw, acquisitions, normalizer,
-                        apply_normalizer(train_raw, normalizer),
-                        apply_normalizer(test, normalizer))
+        return Prepared(pool, train_raw, normalizer,
+                        apply_normalizer(train_raw, normalizer), test)
 
 
 def train_gan(cfg: ExperimentConfig, prep: Prepared, manifest: RunManifest,
@@ -554,12 +553,13 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         if out and selected.n_rows:
             save_csv(invert_normalizer(selected, prep.normalizer), out / "generated.csv")
         with _phase(manifest, "downstream"):
-            metrics = fit_downstream(cfg, prep.train_set, prep.test_set,
-                                     prep.normalizer, selected)
+            test_set = apply_normalizer(prep.test_raw, prep.normalizer)
+            metrics = fit_downstream(cfg, prep.train_set, test_set, prep.normalizer,
+                                     selected)
             _report(manifest, out, REPORT_HEADER,
                     [(kind, condition, m.mae, m.rmse)
                      for (kind, condition), m in metrics.items()])
-    return PipelineResult(manifest, model, trace, prep.train_set, prep.test_set,
+    return PipelineResult(manifest, model, trace, prep.train_set, test_set,
                           prep.normalizer, selected, q_report, metrics)
 
 

@@ -14,6 +14,7 @@ Two complementary scores, both lower-is-better:
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import ContractError
-from .regress import Bandwidth, KernelRidgeRegressor, _resolve_bandwidth, rbf_kernel
+from .regress import (Bandwidth, KernelRidgeRegressor, check_bandwidth, median_bandwidth,
+                      rbf_kernel)
 from .rng import SeededRng, derive_seed
 
 ArrayLike = Union[TabularDataset, np.ndarray]
@@ -61,7 +63,9 @@ def mmd2(a: ArrayLike, b: ArrayLike, bandwidth: Bandwidth = "median") -> float:
         raise ContractError("mmd2 needs non-empty sets")
     if ra.shape[1] != rb.shape[1]:
         raise ContractError(f"joint widths differ: {ra.shape[1]} vs {rb.shape[1]}")
-    sigma = _resolve_bandwidth(bandwidth, np.vstack([ra, rb]))
+    sigma = check_bandwidth(bandwidth)
+    if sigma is None:
+        sigma = median_bandwidth(np.vstack([ra, rb]))
     n, m = ra.shape[0], rb.shape[0]
     term_aa = float(rbf_kernel(ra, ra, sigma).sum()) / (n * n)
     term_ab = float(rbf_kernel(ra, rb, sigma).sum()) / (n * m)
@@ -77,45 +81,40 @@ def fit_kernel_ridge(x: np.ndarray, y: np.ndarray) -> KernelRidgeRegressor:
     return KernelRidgeRegressor().fit(x, y)
 
 
-def _fold_indices(n: int, folds: int, rng: SeededRng) -> list[np.ndarray]:
-    perm = rng.permutation(n)
+def _content_folds(ds: TabularDataset, folds: int, seed: int) -> list[np.ndarray]:
+    """`ds`'s rows cut into `folds` sorted parts, seeded by its bytes.
+
+    A blake2b digest of the joint rows labels a `derive_seed`, whose Philox
+    permutation of the rows is cut into parts. Tying the folds to the
+    content, not the argument position, makes diversity_score exactly
+    symmetric under swapping its two arguments and independent of where a
+    batch sits in a candidate list.
+    """
+    digest = hashlib.blake2b(np.ascontiguousarray(ds.joint()).tobytes(),
+                             digest_size=8).hexdigest()
+    perm = SeededRng(derive_seed(seed, f"folds:{digest}")).permutation(ds.n_rows)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _fold_models(train_ds: TabularDataset, train_folds: Sequence[np.ndarray],
-                 factory: RegressorFactory) -> list:
-    """Model i is fit on every fold of `train_ds` but fold i."""
+def _cross_fit(ds: TabularDataset, folds: int, factory: RegressorFactory,
+               seed: int) -> tuple[list[np.ndarray], list]:
+    """`ds`'s content folds, and model i fit on every fold but fold i."""
+    parts = _content_folds(ds, folds, seed)
     models = []
-    for i in range(len(train_folds)):
-        keep = np.concatenate([f for j, f in enumerate(train_folds) if j != i])
-        models.append(factory(train_ds.features[keep], train_ds.labels[keep]))
-    return models
+    for i in range(folds):
+        keep = np.concatenate(parts[:i] + parts[i + 1:])
+        models.append(factory(ds.features[keep], ds.labels[keep]))
+    return parts, models
 
 
 def _fold_maes(models: Sequence, test_ds: TabularDataset,
-               test_folds: Sequence[np.ndarray]) -> list[float]:
-    """MAE of model i on fold i of `test_ds`."""
-    maes = []
+               test_folds: Sequence[np.ndarray]) -> float:
+    """Summed MAE of model i on fold i of `test_ds`."""
+    total = 0.0
     for model, fold in zip(models, test_folds):
         pred = np.asarray(model.predict(test_ds.features[fold]), dtype=float)
-        maes.append(float(np.mean(np.abs(pred - test_ds.labels[fold]))))
-    return maes
-
-
-def _content_fold_seed(seed: int, ds: TabularDataset) -> int:
-    """Fold seed tied to the dataset's bytes, not its argument position.
-
-    This makes diversity_score exactly symmetric under swapping its two
-    arguments and independent of where a batch sits in a candidate list.
-    """
-    import hashlib
-    digest = hashlib.blake2b(np.ascontiguousarray(ds.joint()).tobytes(),
-                             digest_size=8).hexdigest()
-    return derive_seed(seed, f"folds:{digest}")
-
-
-def _content_folds(ds: TabularDataset, folds: int, seed: int) -> list[np.ndarray]:
-    return _fold_indices(ds.n_rows, folds, SeededRng(_content_fold_seed(seed, ds)))
+        total += float(np.mean(np.abs(pred - test_ds.labels[fold])))
+    return total
 
 
 def _check_folds(folds: int, *sets: TabularDataset) -> None:
@@ -126,30 +125,21 @@ def _check_folds(folds: int, *sets: TabularDataset) -> None:
             f"need >= {folds} rows per set, got {' and '.join(str(ds.n_rows) for ds in sets)}")
 
 
-def _real_fold_models(real: TabularDataset, folds: int, factory: RegressorFactory,
-                      seed: int) -> list:
-    """The real -> generated models of `diversity_score`. They depend on the
-    real set alone, so a ranking fits them once for all its batches."""
-    _check_folds(folds, real)
-    return _fold_models(real, _content_folds(real, folds, seed), factory)
-
-
 def diversity_score(real: TabularDataset, generated: TabularDataset,
                     folds: int = 5, factory: RegressorFactory = fit_kernel_ridge,
-                    seed: int = 0, *, real_models: Sequence | None = None) -> float:
+                    seed: int = 0, *, real_fit: tuple | None = None) -> float:
     """Cross-fit MAE score; lower means the batch behaves like real data.
 
-    `real_models`, if given, are the models `_real_fold_models(real, folds,
-    factory, seed)` returns; otherwise they are fit here.
+    `real_fit`, if given, is the real side `_cross_fit(real, folds, factory,
+    seed)` returns, its folds and its models; otherwise it is built here.
     """
     _check_folds(folds, real, generated)
-    if real_models is None:
-        real_models = _real_fold_models(real, folds, factory, seed)
-    gen_folds = _content_folds(generated, folds, seed)
-    gen_models = _fold_models(generated, gen_folds, factory)
-    gen_to_real = _fold_maes(gen_models, real, _content_folds(real, folds, seed))
-    real_to_gen = _fold_maes(real_models, generated, gen_folds)
-    return 2.0 * (sum(gen_to_real) + sum(real_to_gen))
+    if real_fit is None:
+        real_fit = _cross_fit(real, folds, factory, seed)
+    real_folds, real_models = real_fit
+    gen_folds, gen_models = _cross_fit(generated, folds, factory, seed)
+    return 2.0 * (_fold_maes(gen_models, real, real_folds)
+                  + _fold_maes(real_models, generated, gen_folds))
 
 
 def _ranks(values: Sequence[float]) -> list[int]:
@@ -175,8 +165,9 @@ def select_best_batch(real: TabularDataset, batches: Sequence[TabularDataset],
     if not batches:
         raise ContractError("select_best_batch needs at least one batch")
     mmds = [max(mmd2(real, b, bandwidth), 0.0) for b in batches]
-    real_models = _real_fold_models(real, folds, factory, seed)
-    dss = [diversity_score(real, b, folds, factory, seed, real_models=real_models)
+    _check_folds(folds, real)
+    real_fit = _cross_fit(real, folds, factory, seed)     # shared by every batch
+    dss = [diversity_score(real, b, folds, factory, seed, real_fit=real_fit)
            for b in batches]
 
     def norm(vals):

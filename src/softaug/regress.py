@@ -83,12 +83,6 @@ def check_bandwidth(bandwidth: Bandwidth) -> float | None:
     return bw
 
 
-def _resolve_bandwidth(bandwidth: Bandwidth, rows: np.ndarray) -> float:
-    """The RBF width for `rows`: fixed, or their median pairwise distance."""
-    bw = check_bandwidth(bandwidth)
-    return median_bandwidth(rows) if bw is None else bw
-
-
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return _rbf_in_place(squared_distances(a, b), sigma)
 

@@ -8,7 +8,7 @@ from conftest import brute_force_greedy, traced_peak
 
 from softaug import choose_k, kmeans, run_active_selection
 from softaug import active
-from softaug.active import (POOL_BLOCK, ClusterResult, SelectionState, _pool_dists,
+from softaug.active import (POOL_BLOCK, ClusterResult, _pool_dists,
                             _sq_dists, igs_score, init_select, silhouette_mean)
 from softaug.data import TabularDataset
 from softaug.errors import BudgetError, ContractError, DataError, DegeneracyError
@@ -260,9 +260,7 @@ def test_init_select_deduplicates_shared_nearest():
 
 def test_igs_hand_case():
     pool = np.array([[0.0], [10.0], [4.0], [9.0]])
-    state = SelectionState(labeled=[0, 1], labels=[0.0, 10.0],
-                           model=_Identity())
-    scores = igs_score(state, pool)
+    scores = igs_score(_Identity(), pool, [0, 1], [0.0, 10.0])
     assert scores[0] == 0.0 and scores[1] == 0.0
     assert abs(scores[2] - 16.0 / 15.0) < 1e-12
     assert abs(scores[3] - 1.0 / 15.0) < 1e-12
@@ -270,23 +268,20 @@ def test_igs_hand_case():
 
 def test_igs_coincident_point_scores_zero():
     pool = np.array([[0.0], [10.0], [0.0]])
-    state = SelectionState(labeled=[0, 1], labels=[0.0, 10.0],
-                           model=_Identity())
-    assert igs_score(state, pool)[2] == 0.0
+    assert igs_score(_Identity(), pool, [0, 1], [0.0, 10.0])[2] == 0.0
 
 
 def test_igs_duplicate_only_pool_scores_zero():
     pool = np.zeros((3, 1))
-    state = SelectionState(labeled=[0], labels=[0.5], model=_Identity())
-    assert np.all(igs_score(state, pool) == 0.0)
+    assert np.all(igs_score(_Identity(), pool, [0], [0.5]) == 0.0)
 
 
 def test_igs_requires_labels_and_model():
     pool = np.zeros((3, 1))
     with pytest.raises(ContractError):
-        igs_score(SelectionState(labeled=[], model=_Identity()), pool)
+        igs_score(_Identity(), pool, [], [])
     with pytest.raises(ContractError):
-        igs_score(SelectionState(labeled=[0], labels=[0.0]), pool)
+        igs_score(None, pool, [0], [0.0])
 
 
 def test_igs_scores_invariant_under_feature_scaling():
@@ -295,10 +290,9 @@ def test_igs_scores_invariant_under_feature_scaling():
     rng = np.random.default_rng(13)
     pool = rng.uniform(size=(10, 3))
     preds = rng.uniform(size=10)
-    state = SelectionState(labeled=[0, 4], labels=[0.3, 0.8],
-                           model=_Fixed(preds))
-    base = igs_score(state, pool)
-    scaled = igs_score(state, 37.0 * pool)
+    model = _Fixed(preds)
+    base = igs_score(model, pool, [0, 4], [0.3, 0.8])
+    scaled = igs_score(model, 37.0 * pool, [0, 4], [0.3, 0.8])
     assert np.allclose(scaled, base, rtol=1e-12, atol=1e-15)
     assert np.argmax(scaled) == np.argmax(base)
 
@@ -407,21 +401,26 @@ def test_run_scores_equal_public_igs_score_every_acquisition(monkeypatch):
     # scorer recomputes both from scratch on a pool spanning several blocks
     rng = np.random.default_rng(43)
     pool = _pool(rng.uniform(size=(300, 10)), rng.uniform(size=300))
-    seen = []
+    seen, models = [], []
     inner = active._igs_scores
 
-    def recording(state, points, r, d_x):
-        scores, d_y = inner(state, points, r, d_x)
-        seen.append((list(state.labeled), list(state.labels), state.model, scores))
+    class Recorded(KernelRidgeRegressor):
+        def fit(self, x, y):
+            models.append(self)
+            return super().fit(x, y)
+
+    def recording(preds, labeled, labels, r, d_x):
+        scores, d_y = inner(preds, labeled, labels, r, d_x)
+        seen.append((list(labeled), list(labels), scores))
         return scores, d_y
 
+    monkeypatch.setattr(active, "KernelRidgeRegressor", Recorded)
     monkeypatch.setattr(active, "_igs_scores", recording)
     run_active_selection(pool, 9, seed=7, initial=3)
     monkeypatch.undo()
-    assert len(seen) == 6
-    for labeled, labels, model, scores in seen:
-        state = SelectionState(labeled=labeled, labels=labels, model=model)
-        assert np.array_equal(scores, igs_score(state, pool.features))
+    assert len(seen) == len(models) == 6
+    for (labeled, labels, scores), model in zip(seen, models):
+        assert np.array_equal(scores, igs_score(model, pool.features, labeled, labels))
 
 
 def test_records_hold_the_components_that_produced_each_score():

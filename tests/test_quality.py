@@ -1,13 +1,14 @@
 """Batch quality: squared MMD, cross-fit diversity score, batch selection."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from softaug import diversity_score, mmd2, select_best_batch
 from softaug.data import TabularDataset, synth_make
 from softaug.errors import ContractError
-from softaug.quality import _content_fold_seed, _fold_indices
+import softaug.quality as quality_module
 from softaug.regress import median_bandwidth
-from softaug.rng import SeededRng
 
 
 def _dataset(features, labels, provenance="real"):
@@ -220,23 +221,27 @@ def test_selection_is_permutation_equivariant():
         assert moved.mmd2 == quality.mmd2 and moved.ds == quality.ds
 
 
-def _naive_selection(real, batches, sigma, folds, seed):
-    """Recode the scorer: kernel sums, fold MAEs, normalization, tie-breaks.
+def _naive_folds(ds, folds, seed):
+    """The content-addressed fold rule: a blake2b digest of the joint rows
+    names the sub-seed (blake2b of "seed:folds:digest") of a Philox
+    permutation, cut into `folds` sorted parts."""
+    rows = np.column_stack([ds.features, ds.labels])
+    digest = hashlib.blake2b(rows.tobytes(), digest_size=8).hexdigest()
+    key = hashlib.blake2b(f"{seed}:folds:{digest}".encode(), digest_size=8).digest()
+    gen = np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
+    return [np.sort(part) for part in np.array_split(gen.permutation(ds.n_rows), folds)]
 
-    Fold membership comes from the library's seeded-permutation helper (its
-    determinism is pinned elsewhere); every score on top is recomputed here.
-    """
+
+def _naive_selection(real, batches, sigma, folds, seed):
+    """Recode the scorer: fold rule, kernel sums, fold MAEs, normalization,
+    tie-breaks. Only the kernel-ridge fits come from the library."""
     from softaug.regress import KernelRidgeRegressor
 
     mmds = [max(_naive_mmd2(real.joint(), b.joint(), sigma), 0.0)
             for b in batches]
     dss = []
     for b in batches:
-        folds_by = {
-            id(ds): _fold_indices(ds.n_rows, folds,
-                                  SeededRng(_content_fold_seed(seed, ds)))
-            for ds in (real, b)
-        }
+        folds_by = {id(ds): _naive_folds(ds, folds, seed) for ds in (real, b)}
         total = 0.0
         for train_ds, test_ds in ((b, real), (real, b)):
             tr, te = folds_by[id(train_ds)], folds_by[id(test_ds)]
@@ -284,18 +289,39 @@ def test_select_best_batch_report_equals_public_scores_bit_for_bit():
                                           for b in batches]
 
 
-def test_select_best_batch_fits_the_real_fold_models_once():
-    fits = []
+def test_select_best_batch_fits_the_real_fold_models_once(monkeypatch):
+    fits, fold_rows, calls = [], [], {"mmd2": 0, "diversity_score": 0}
 
     def counting_factory(x, y):
         fits.append(x.shape[0])
         return _constant_factory(x, y)
 
+    def counted(name):
+        inner = getattr(quality_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    inner_folds = quality_module._content_folds
+
+    def counting_folds(ds, folds, seed):
+        fold_rows.append(ds.n_rows)
+        return inner_folds(ds, folds, seed)
+
+    for name in calls:
+        monkeypatch.setattr(quality_module, name, counted(name))
+    monkeypatch.setattr(quality_module, "_content_folds", counting_folds)
     real = _random_dataset(12, 2, seed=40)
     batches = [_random_dataset(20, 2, seed=s, provenance="generated") for s in (41, 42, 43)]
     select_best_batch(real, batches, folds=4, factory=counting_factory)
     # 4 real-fold models, then 4 per batch; real folds hold 9 rows, batch folds 15
     assert fits == [9] * 4 + [15] * 12
+    # the real folds are derived once per ranking, each batch's once
+    assert fold_rows == [12] + [20] * 3
+    # the public scorers still run once per batch, as the benchmark traces them
+    assert calls == {"mmd2": 3, "diversity_score": 3}
 
 
 def test_select_best_batch_requires_batches():
