@@ -8,12 +8,13 @@ of a gradient). The one deliberate shortcut: the leaky-relu backward
 treats its slope mask as a constant, whose derivative is zero almost
 everywhere.
 
-Training differentiates a graph only in the generator step. The critic
-step, pretraining and the downstream MLP repeat these rules by hand in
-plain numpy (`layers.Mlp.backward`, `rgan.critic_regressor_loss`).
+Training differentiates a graph only for the generator network itself.
+The rest of both GAN steps, pretraining and the downstream MLP repeat
+these rules by hand in plain numpy (`layers.Mlp.backward`, `rgan`).
 """
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import ContractError, ShapeError
 class Tensor:
     """One graph node: a float64 matrix plus links to what produced it."""
 
-    __slots__ = ("value", "op", "parents", "requires_grad")
+    __slots__ = ("value", "op", "parents", "requires_grad", "__weakref__")
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = ()):
@@ -121,8 +122,9 @@ def sigmoid(a: Tensor) -> Tensor:
     # exp overflows to inf for a << 0, where 1 / (1 + inf) is the exact 0.0
     with np.errstate(over="ignore"):
         out = Tensor(1.0 / (1.0 + np.exp(-a.value)), op="sigmoid")
-    # backward g * out * (1 - out); referencing `out` keeps the rule exact
-    out.parents = ((a, lambda g: mul(g, mul(out, shift(neg(out), 1.0)))),)
+    # backward g * out * (1 - out) on `out`, exact; a weak `out` makes no cycle
+    ref = weakref.ref(out)
+    out.parents = ((a, lambda g: mul(g, mul(ref(), shift(neg(ref()), 1.0)))),)
     out.requires_grad = a.requires_grad
     return out
 

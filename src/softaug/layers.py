@@ -2,9 +2,8 @@
 
 A network is a list of (weight, bias) tensor pairs plus an activation
 policy: leaky-relu after every layer by default, with an optional linear
-or sigmoid final layer for score heads and bounded generators. The
-plain-numpy forward can keep a tape for the hand-derived backward, which
-repeats the graph's operations so its gradients are bit-identical.
+or sigmoid final layer for score heads and bounded generators. Training
+records only the generator; the others tape `forward_values` for `backward`.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ regression residuals shape the features the critic sees. With sharing
 off the regressor keeps an independent copy of the trunk and is frozen
 after pretraining.
 
-Losses (per batch of N rows):
+Losses per batch of N rows, each differentiated by hand but for the generator:
 * critic/regressor: -mean D(real) + mean D(fake)
     + (gp_weight/N) * sum (||grad D at interpolates|| - 1)^2
     + critic_reg_weight * mean-residual term
@@ -111,23 +111,6 @@ class RganModel:
         self.regressor_head = init_mlp([config.trunk_width, config.regressor_hidden, 1],
                                        rng, out_activation="linear")
 
-    # ------------------------------------------------------------- forwards
-
-    def critic_score(self, x: Tensor, y: Tensor) -> Tensor:
-        h = self.critic_trunk.forward(x)
-        return self.critic_head.forward(ad.concat_cols([h, y]))
-
-    def critic_score_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        h = self.critic_trunk.forward_values(x)
-        return self.critic_head.forward_values(np.hstack([h, y.reshape(-1, 1)]))
-
-    def regressor_predict(self, x: Tensor) -> Tensor:
-        return self.regressor_head.forward(self.regressor_trunk.forward(x))
-
-    def regressor_predict_values(self, x: np.ndarray) -> np.ndarray:
-        return self.regressor_head.forward_values(
-            self.regressor_trunk.forward_values(x)).ravel()
-
     # ------------------------------------------------------- parameter sets
 
     def generator_params(self):
@@ -143,20 +126,13 @@ class RganModel:
 
 # ------------------------------------------------------------------- losses
 
-def regression_loss(model: RganModel, real_x, real_y, fake_x: Tensor,
-                    fake_y: Tensor) -> Tensor:
-    """Mean joint residual over a real and a fake batch of equal size.
-
-    The fake rows are graph nodes: the batch the critic scores, or the
-    generator's output in its update. `fake_y` is a column.
-    """
-    rx, ry = Tensor(real_x), Tensor(np.reshape(real_y, (-1, 1)))
-    if rx.shape[0] != fake_x.shape[0]:
-        raise ContractError(
-            f"real and fake batches must match: {rx.shape[0]} vs {fake_x.shape[0]}")
-    fake_term, real_term = (ad.sum_all(ad.square(ad.sub(model.regressor_predict(x), y)))
-                            for x, y in ((fake_x, fake_y), (rx, ry)))
-    return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
+def _batch_rows(**arrays) -> int:
+    """The one row count of a batch's arrays; a ContractError naming two that differ."""
+    (first, a), *rest = arrays.items()
+    for name, b in rest:
+        if len(b) != len(a):
+            raise ContractError(f"row counts differ: {first} has {len(a)}, {name} has {len(b)}")
+    return len(a)
 
 
 def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
@@ -224,9 +200,7 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     fake_x = np.asarray(fake_x, dtype=float)
     fake_y = np.reshape(np.asarray(fake_y, dtype=float), (-1, 1))
     mu = np.reshape(np.asarray(mu, dtype=float), (-1, 1))
-    n = real_x.shape[0]
-    if fake_x.shape[0] != n or mu.shape[0] != n:
-        raise ContractError("real, fake and mu must have the same row count")
+    n = _batch_rows(real_x=real_x, real_y=real_y, fake_x=fake_x, fake_y=fake_y, mu=mu)
     trunk, head = model.critic_trunk, model.critic_head
     params = model.critic_step_params()
     grads = [None] * len(params)
@@ -290,23 +264,47 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
 
 def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
                    config: GanConfig):
-    """Adversarial + regression-consistency generator objective."""
-    d = model.n_features
+    """Adversarial + regression-consistency generator objective: (gradients, float parts).
 
+    Only the generator is recorded; the rest of the backward repeats the recorded
+    objective's by hand (tests/ keep it as the oracle), so it is bit-identical.
+    """
+    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
+    n = _batch_rows(noise=noise, real_x=real_x, real_y=real_y)
+    d, seed = model.n_features, np.ones((1, 1))
     out = model.generator.forward(Tensor(noise))
-    fx, fy = ad.slice_cols(out, 0, d), ad.slice_cols(out, d, d + 1)
-    loss = ad.neg(ad.mean_all(model.critic_score(fx, fy)))
-    parts = {"adversarial": loss.item()}
+    fake_x, fake_y = out.value[:, 0:d], out.value[:, d:d + 1]
+    trunk_tape, head_tape = [], []
+    h = model.critic_trunk.forward_values(fake_x, trunk_tape)
+    score = model.critic_head.forward_values(np.concatenate([h, fake_y], axis=1), head_tape)
+    loss = (sum_rows(score) * (1.0 / n)) * -1.0
+    parts = {"adversarial": float(loss[0, 0]), "regression": float("nan")}
+    g = model.critic_head.backward(head_tape, np.broadcast_to((seed * -1.0) * (1.0 / n), (n, 1)),
+                                   need_input=True)[1]
+    g_x = model.critic_trunk.backward(trunk_tape, g[:, :-1], need_input=True)[1]
+    g_y = g[:, -1:]
 
     if config.gen_reg_weight != 0.0:
-        reg = regression_loss(model, real_x, real_y, fx, fy)
-        loss = ad.add(loss, ad.scale(reg, config.gen_reg_weight))
-        parts["regression"] = reg.item()
-    else:
-        parts["regression"] = float("nan")
+        if not model.config.share_trunk:
+            trunk_tape = []
+            h = model.regressor_trunk.forward_values(fake_x, trunk_tape)
+        head_tape = []
+        r_fake = model.regressor_head.forward_values(h, head_tape) - fake_y
+        r_real = (model.regressor_head.forward_values(model.regressor_trunk.forward_values(real_x))
+                  - real_y)
+        reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
+        loss = loss + reg * config.gen_reg_weight
+        parts["regression"] = float(reg[0, 0])
+        g_r = np.broadcast_to((seed * config.gen_reg_weight) * (1.0 / n), (n, 1)) * (r_fake * 2.0)
+        g = model.regressor_head.backward(head_tape, g_r, need_input=True)[1]
+        g_x = g_x + model.regressor_trunk.backward(trunk_tape, g, need_input=True)[1]
+        g_y = g_y + g_r * -1.0
 
-    parts["loss"] = loss.item()
-    return loss, parts
+    parts["loss"] = float(loss[0, 0])
+    # each recorded slice sends back a zero-padded piece; 1.0 * g_out sends their sum
+    g_out = (np.concatenate([g_x, np.zeros((n, 1))], axis=1)
+             + np.concatenate([np.zeros((n, d)), g_y], axis=1))
+    return ad.grad_values(ad.sum_all(ad.mul(out, Tensor(g_out))), model.generator_params()), parts
 
 
 # ----------------------------------------------------------------- training
@@ -383,11 +381,11 @@ def train(train_ds: TabularDataset, config: GanConfig,
                 adam_c.step(grads)
             z = gaussian_noise(config.batch_size, config.noise_dim, rng)
             idx = rng.integers(0, m, config.batch_size)
-            gloss, gparts = generator_loss(model, z, x[idx], y[idx], config)
+            ggrads, gparts = generator_loss(model, z, x[idx], y[idx], config)
             if not np.isfinite(gparts["loss"]):
                 raise DivergenceError(
                     f"non-finite generator loss at iteration {it}", trace=trace)
-            adam_g.step(ad.grad_values(gloss, model.generator_params()))
+            adam_g.step(ggrads)
         except DivergenceError as err:
             if err.trace is None:
                 err.trace = trace

@@ -1,15 +1,39 @@
 """Recorded-graph reference forms of the hand-derived training paths.
 
-The critic objective and the MSE fit below build an autodiff graph and
-differentiate it. The program computes the same gradients by hand; the
-tests hold them to these references bit for bit.
+The critic and generator objectives and the MSE fit below build an
+autodiff graph and differentiate it. The program computes the same
+gradients by hand; the tests hold them to these references bit for bit.
 """
 import numpy as np
 
 from softaug import autodiff as ad
 from softaug.autodiff import Tensor
 from softaug.errors import ContractError
-from softaug.rgan import regression_loss
+
+
+def critic_score(model, x, y):
+    """Recorded critic score of the graph rows `x` and the label column `y`."""
+    h = model.critic_trunk.forward(x)
+    return model.critic_head.forward(ad.concat_cols([h, y]))
+
+
+def regressor_predict(model, x):
+    return model.regressor_head.forward(model.regressor_trunk.forward(x))
+
+
+def regression_loss(model, real_x, real_y, fake_x, fake_y):
+    """Mean joint residual over a real and a fake batch of equal size.
+
+    The fake rows are graph nodes: the batch the critic scores, or the
+    generator's output in its update. `fake_y` is a column.
+    """
+    rx, ry = Tensor(real_x), Tensor(np.reshape(real_y, (-1, 1)))
+    if rx.shape[0] != fake_x.shape[0]:
+        raise ContractError(
+            f"real and fake batches must match: {rx.shape[0]} vs {fake_x.shape[0]}")
+    fake_term, real_term = (ad.sum_all(ad.square(ad.sub(regressor_predict(model, x), y)))
+                            for x, y in ((fake_x, fake_y), (rx, ry)))
+    return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
 def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
@@ -24,9 +48,9 @@ def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
         raise ContractError("real, fake and mu must have the same row count")
     d = model.n_features
 
-    d_real = ad.mean_all(model.critic_score(Tensor(real_x), Tensor(real_y)))
+    d_real = ad.mean_all(critic_score(model, Tensor(real_x), Tensor(real_y)))
     fake_xt, fake_yt = Tensor(fake_x), Tensor(fake_y)
-    d_fake = ad.mean_all(model.critic_score(fake_xt, fake_yt))
+    d_fake = ad.mean_all(critic_score(model, fake_xt, fake_yt))
     loss = ad.sub(d_fake, d_real)
     parts = {"wasserstein": d_real.item() - d_fake.item()}
 
@@ -35,7 +59,7 @@ def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
         joint_fake = np.hstack([fake_x, fake_y])
         interp = mu * joint_real + (1.0 - mu) * joint_fake
         jt = Tensor(interp, requires_grad=True)
-        score = model.critic_score(ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
+        score = critic_score(model, ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
         g = ad.grad(ad.sum_all(score), [jt])[0]
         pen = ad.sum_all(ad.square(ad.shift(ad.norm_rows(g), -1.0)))
         loss = ad.add(loss, ad.scale(pen, config.gp_weight / n))
@@ -58,6 +82,32 @@ def critic_gradients(model, real_x, real_y, fake_x, fake_y, mu, config):
     """(gradients of `critic_step_params()`, parts) from the recorded graph."""
     loss, parts = critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config)
     return ad.grad_values(loss, model.critic_step_params()), parts
+
+
+def generator_loss(model, noise, real_x, real_y, config):
+    """Adversarial + regression-consistency generator objective: (loss node, float parts)."""
+    d = model.n_features
+
+    out = model.generator.forward(Tensor(noise))
+    fx, fy = ad.slice_cols(out, 0, d), ad.slice_cols(out, d, d + 1)
+    loss = ad.neg(ad.mean_all(critic_score(model, fx, fy)))
+    parts = {"adversarial": loss.item()}
+
+    if config.gen_reg_weight != 0.0:
+        reg = regression_loss(model, real_x, real_y, fx, fy)
+        loss = ad.add(loss, ad.scale(reg, config.gen_reg_weight))
+        parts["regression"] = reg.item()
+    else:
+        parts["regression"] = float("nan")
+
+    parts["loss"] = loss.item()
+    return loss, parts
+
+
+def generator_gradients(model, noise, real_x, real_y, config):
+    """(gradients of `generator_params()`, parts) from the recorded graph."""
+    loss, parts = generator_loss(model, noise, real_x, real_y, config)
+    return ad.grad_values(loss, model.generator_params()), parts
 
 
 class TensorAdam:

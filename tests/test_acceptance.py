@@ -18,7 +18,6 @@ from conftest import (brute_force_greedy, central_difference, kink_safe_seed,
 
 from softaug import (ExperimentConfig, GanConfig, RganModel, SeededRng,
                      generate, run_pipeline, train)
-from softaug import autodiff as ad
 from softaug.active import init_select, kmeans, run_active_selection
 from softaug.data import (TabularDataset, apply_normalizer, fit_normalizer,
                           invert_normalizer, synth_make, synth_truth)
@@ -99,11 +98,11 @@ def test_criterion_01_loss_gradients_match_finite_differences():
             shared.critic_step_params())
         worst = max(worst, max_relative_error(grads, numeric))
 
-        gloss, _ = generator_loss(shared, noise, rx, ry, cfg)
-        gparams = shared.generator_params()
+        ggrads, _ = generator_loss(shared, noise, rx, ry, cfg)
         numeric = central_difference(
-            lambda: generator_loss(shared, noise, rx, ry, cfg)[1]["loss"], gparams)
-        worst = max(worst, max_relative_error(ad.grad_values(gloss, gparams), numeric))
+            lambda: generator_loss(shared, noise, rx, ry, cfg)[1]["loss"],
+            shared.generator_params())
+        worst = max(worst, max_relative_error(ggrads, numeric))
 
         plain_cfg = cfg.wgan_gp_mode()
         plain = RganModel(2, plain_cfg, SeededRng(1000 + seed))

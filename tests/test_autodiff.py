@@ -1,4 +1,7 @@
 """The differentiation engine: values, first-order and second-order grads."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,23 @@ def test_sigmoid_gradient_matches_closed_form():
     (g,) = ad.grad(loss, [x])
     s = 1.0 / (1.0 + np.exp(-x.value))
     assert np.allclose(g.value, s * (1.0 - s), atol=1e-15)
+
+
+def test_a_dropped_sigmoid_graph_is_freed_without_the_cycle_collector():
+    # the backward refers to the sigmoid's own output; a strong reference
+    # would make a cycle that keeps the whole graph alive until a collection
+    x = Tensor(np.array([[0.3, -1.2]]), requires_grad=True)
+    gc.disable()
+    try:
+        loss = ad.sum_all(ad.sigmoid(ad.scale(x, 2.0)))
+        (g,) = ad.grad_values(loss, [x])
+        node = weakref.ref(loss.parents[0][0])
+        del loss
+        assert node() is None
+    finally:
+        gc.enable()
+    s = 1.0 / (1.0 + np.exp(-2.0 * x.value))
+    assert np.allclose(g, 2.0 * s * (1.0 - s), atol=1e-15)
 
 
 def test_leaky_relu_values_and_gradient():

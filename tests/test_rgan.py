@@ -14,8 +14,7 @@ from softaug.data import TabularDataset
 from softaug.errors import ConfigError, ContractError, DivergenceError
 from softaug.layers import SLOPE
 from softaug.optim import Adam
-from softaug.rgan import (critic_regressor_loss, generator_loss,
-                          pretrain_regressor, regression_loss)
+from softaug.rgan import critic_regressor_loss, generator_loss, pretrain_regressor
 from softaug.rng import gaussian_noise
 
 
@@ -38,6 +37,15 @@ def _batch(n, d, seed):
     return (rng.uniform(size=(n, d)), rng.uniform(size=n),
             rng.uniform(size=(n, d)), rng.uniform(size=n),
             rng.uniform(size=(n, 1)))
+
+
+def _critic_scores(model, x, y):
+    h = model.critic_trunk.forward_values(x)
+    return model.critic_head.forward_values(np.hstack([h, y.reshape(-1, 1)]))
+
+
+def _regressor_predictions(model, x):
+    return model.regressor_head.forward_values(model.regressor_trunk.forward_values(x)).ravel()
 
 
 def _zero_net(net):
@@ -96,9 +104,10 @@ def test_model_rejects_zero_features():
 def test_regression_loss_matches_value_oracle():
     model = RganModel(2, _tiny(), SeededRng(3))
     rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
-    got = regression_loss(model, rx, ry, Tensor(fx), Tensor(fy.reshape(-1, 1))).item()
-    fake_res = model.regressor_predict_values(fx) - fy
-    real_res = model.regressor_predict_values(rx) - ry
+    got = graph_reference.regression_loss(model, rx, ry, Tensor(fx),
+                                          Tensor(fy.reshape(-1, 1))).item()
+    fake_res = _regressor_predictions(model, fx) - fy
+    real_res = _regressor_predictions(model, rx) - ry
     want = (np.sum(fake_res ** 2) + np.sum(real_res ** 2)) / 6
     assert abs(got - want) < 1e-12
 
@@ -107,7 +116,8 @@ def test_regression_loss_requires_equal_batches():
     model = RganModel(2, _tiny(), SeededRng(3))
     rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
     with pytest.raises(ContractError):
-        regression_loss(model, rx[:4], ry[:4], Tensor(fx), Tensor(fy.reshape(-1, 1)))
+        graph_reference.regression_loss(model, rx[:4], ry[:4], Tensor(fx),
+                                        Tensor(fy.reshape(-1, 1)))
 
 
 def test_wasserstein_part_is_zero_for_identical_batches():
@@ -165,6 +175,22 @@ def test_critic_loss_batch_contracts():
         critic_regressor_loss(model, rx, ry, fx, fy, mu[:3], cfg)
 
 
+def test_label_row_counts_must_match_their_batch():
+    # a label column of another row count is refused with both counts named,
+    # not left to numpy's concatenate or broadcasting (one row broadcasts)
+    cfg = _tiny()
+    model = RganModel(2, cfg, SeededRng(6))
+    rx, ry, fx, fy, mu = _batch(4, 2, seed=3)
+    z = gaussian_noise(4, cfg.noise_dim, SeededRng(1))
+    for labels in (np.resize(ry, 5), ry[:3], ry[:1]):
+        with pytest.raises(ContractError, match=f"real_x has 4, real_y has {labels.size}"):
+            critic_regressor_loss(model, rx, labels, fx, fy, mu, cfg)
+        with pytest.raises(ContractError, match=f"real_x has 4, fake_y has {labels.size}"):
+            critic_regressor_loss(model, rx, ry, fx, labels, mu, cfg)
+        with pytest.raises(ContractError, match=f"noise has 4, real_y has {labels.size}"):
+            generator_loss(model, z, rx, labels, cfg)
+
+
 def _hand_wgan_loss(model, real_x, real_y, fake_x, fake_y, mu, beta):
     """Plain-numpy critic loss: score means, interpolates, penalty."""
     s = SLOPE
@@ -219,7 +245,7 @@ def test_generator_loss_without_regression_is_pure_adversarial():
     assert parts["loss"] == parts["adversarial"]
     assert np.isnan(parts["regression"])
     fake = model.generator.forward_values(z)
-    want = -float(np.mean(model.critic_score_values(fake[:, :2], fake[:, 2])))
+    want = -float(np.mean(_critic_scores(model, fake[:, :2], fake[:, 2])))
     assert abs(parts["adversarial"] - want) < 1e-12
 
 
@@ -245,7 +271,7 @@ def test_generator_loss_checks_real_batch_size():
     model = RganModel(2, cfg, SeededRng(8))
     z = gaussian_noise(6, cfg.noise_dim, SeededRng(1))
     rx, ry, _, _, _ = _batch(4, 2, seed=5)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="noise has 6, real_x has 4"):
         generator_loss(model, z, rx, ry, cfg)
 
 
@@ -257,8 +283,7 @@ def test_generator_gradients_match_finite_differences():
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(3))
     rx, ry, _, _, _ = _batch(4, 2, seed=7)
     params = model.generator_params()
-    loss, _ = generator_loss(model, z, rx, ry, cfg)
-    analytic = ad.grad_values(loss, params)
+    analytic, _ = generator_loss(model, z, rx, ry, cfg)
     numeric = central_difference(
         lambda: generator_loss(model, z, rx, ry, cfg)[1]["loss"], params)
     assert max_relative_error(analytic, numeric) < 1e-4
@@ -285,26 +310,90 @@ MODES = {
 }
 
 
+def _distinct_trunks(model):
+    """Move an unshared regressor trunk off its initial copy of the critic trunk,
+    so a step that mixes the two up cannot give the reference's bits by chance."""
+    if model.regressor_trunk is not model.critic_trunk:
+        for w, b in model.regressor_trunk.layers:
+            w.value *= 1.5
+            b.value += 0.1
+
+
+def _assert_bit_identical(grads, parts, want, want_parts):
+    assert len(grads) == len(want)
+    for got, ref in zip(grads, want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert parts.keys() == want_parts.keys()
+    for key, value in want_parts.items():
+        assert parts[key] == value or (np.isnan(value) and np.isnan(parts[key]))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_critic_step_equals_the_graph_reference_bit_for_bit(mode):
     cfg = MODES[mode](GanConfig(trunk_width=32, critic_hidden=32, regressor_hidden=8))
     for n in (1, 3, 32):
         for d in (1, 2, 10):
             model = RganModel(d, cfg, SeededRng(50 + n + d))
+            _distinct_trunks(model)
             rng = np.random.default_rng(n * 100 + d)
             fake = rng.uniform(size=(n, d + 1))      # the generator's joint rows
             rx, ry, mu = rng.uniform(size=(n, d)), rng.uniform(size=n), rng.uniform(size=(n, 1))
             args = (rx, ry, fake[:, :d], fake[:, d:], mu, cfg)
             grads, parts = critic_regressor_loss(model, *args)
             want, want_parts = graph_reference.critic_gradients(model, *args)
-            assert len(grads) == len(want) == len(model.critic_step_params())
-            for got, ref in zip(grads, want):
-                assert got.shape == ref.shape
-                assert np.array_equal(got, ref)
-                assert np.array_equal(np.signbit(got), np.signbit(ref))
-            assert parts.keys() == want_parts.keys()
-            for key, value in want_parts.items():
-                assert parts[key] == value or (np.isnan(value) and np.isnan(parts[key]))
+            assert len(grads) == len(model.critic_step_params())
+            _assert_bit_identical(grads, parts, want, want_parts)
+
+
+GENERATOR_MODES = {**MODES, "no-generator-regression": lambda c: replace(c, gen_reg_weight=0.0)}
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_generator_step_equals_the_graph_reference_bit_for_bit(mode):
+    cfg = GENERATOR_MODES[mode](GanConfig(trunk_width=32, critic_hidden=32,
+                                          regressor_hidden=8))
+    for n in (1, 3, 32):
+        for d in (1, 2, 10):
+            model = RganModel(d, cfg, SeededRng(50 + n + d))
+            _distinct_trunks(model)
+            rng = np.random.default_rng(n * 100 + d)
+            z = rng.normal(size=(n, cfg.noise_dim))
+            args = (z, rng.uniform(size=(n, d)), rng.uniform(size=n), cfg)
+            grads, parts = generator_loss(model, *args)
+            want, want_parts = graph_reference.generator_gradients(model, *args)
+            assert len(grads) == len(model.generator_params())
+            _assert_bit_identical(grads, parts, want, want_parts)
+
+
+@pytest.mark.parametrize("share_trunk", [True, False])
+def test_generator_step_graph_holds_only_the_generator(monkeypatch, share_trunk):
+    # walk every node the differentiated output reaches: the generator's
+    # parameters are on it, no critic-step or regressor parameter is
+    roots, real_grad_values = [], ad.grad_values
+
+    def recording(output, wrt):
+        roots.append(output)
+        return real_grad_values(output, wrt)
+
+    monkeypatch.setattr(ad, "grad_values", recording)
+    cfg = _tiny(share_trunk=share_trunk)
+    model = RganModel(2, cfg, SeededRng(8))
+    z = gaussian_noise(4, cfg.noise_dim, SeededRng(1))
+    rx, ry, _, _, _ = _batch(4, 2, seed=5)
+    generator_loss(model, z, rx, ry, cfg)
+    (root,) = roots
+    reached, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reached:
+            reached[id(node)] = node
+            stack.extend(parent for parent, _ in node.parents)
+    others = (model.critic_step_params() + model.regressor_trunk.params()
+              + model.regressor_head.params())
+    assert all(id(p) in reached for p in model.generator_params())
+    assert not any(id(p) in reached for p in others)
 
 
 def test_training_builds_no_graph_outside_the_generator_step(monkeypatch):
@@ -337,9 +426,8 @@ def test_updates_touch_only_their_own_parameters():
     trunk_after_critic = model.critic_trunk.checksum()
 
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(4))
-    gloss, _ = generator_loss(model, z, rx, ry, cfg)
-    gen_params = model.generator_params()
-    Adam(gen_params, 1e-3).step(ad.grad_values(gloss, gen_params))
+    ggrads, _ = generator_loss(model, z, rx, ry, cfg)
+    Adam(model.generator_params(), 1e-3).step(ggrads)
     assert model.generator.checksum() != gen_before
     assert model.critic_trunk.checksum() == trunk_after_critic
 
@@ -541,8 +629,8 @@ def test_checkpoint_roundtrip_keeps_unshared_trunks_independent(tmp_path):
     assert loaded.regressor_trunk is not loaded.critic_trunk
     assert loaded.regressor_trunk.checksum() == model.regressor_trunk.checksum()
     assert loaded.critic_trunk.checksum() == model.critic_trunk.checksum()
-    preds_a = model.regressor_predict_values(ds.features)
-    preds_b = loaded.regressor_predict_values(ds.features)
+    preds_a = _regressor_predictions(model, ds.features)
+    preds_b = _regressor_predictions(loaded, ds.features)
     assert np.array_equal(preds_a, preds_b)
 
 
