@@ -8,7 +8,9 @@ regression residuals shape the features the critic sees. With sharing
 off the regressor keeps an independent copy of the trunk and is frozen
 after pretraining.
 
-Losses per batch of N rows, each differentiated by hand but for the generator:
+Both steps take batches of N joint (d + 1)-column rows, and one taped critic
+pass scores real, fake and interpolated rows. Losses, each differentiated by
+hand but for the generator:
 * critic/regressor: -mean D(real) + mean D(fake)
     + (gp_weight/N) * sum (||grad D at interpolates|| - 1)^2
     + critic_reg_weight * mean-residual term
@@ -33,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TabularDataset
-from .errors import ConfigError, ContractError, DivergenceError, SoftaugError
+from .errors import ConfigError, ContractError, DivergenceError, ShapeError, SoftaugError
 from .layers import init_mlp, sum_rows
 from .optim import Adam, fit_mse
 from .rng import SeededRng, gaussian_noise
@@ -126,13 +128,25 @@ class RganModel:
 
 # ------------------------------------------------------------------- losses
 
-def _batch_rows(**arrays) -> int:
-    """The one row count of a batch's arrays; a ContractError naming two that differ."""
-    (first, a), *rest = arrays.items()
-    for name, b in rest:
+def _batch_rows(model: RganModel, **arrays) -> int:
+    """The one row count of a batch: a ShapeError names joint rows not (n, d + 1) or a
+    `mu` not (n, 1), a ContractError names two arrays whose row counts differ."""
+    widths = {"real": model.n_features + 1, "fake": model.n_features + 1, "mu": 1}
+    (first, a), *_ = arrays.items()
+    for name, b in arrays.items():
+        if name in widths and b.shape[1:] != (widths[name],):
+            raise ShapeError(f"{name} has shape {b.shape}, expected ({len(b)}, {widths[name]})")
         if len(b) != len(a):
             raise ContractError(f"row counts differ: {first} has {len(a)}, {name} has {len(b)}")
     return len(a)
+
+
+def _score(model: RganModel, rows: np.ndarray):
+    """The critic's scores of joint rows, the trunk features and both layer tapes."""
+    trunk_tape, head_tape, d = [], [], model.n_features
+    h = model.critic_trunk.forward_values(rows[:, 0:d], trunk_tape)
+    score = model.critic_head.forward_values(np.concatenate([h, rows[:, d:]], axis=1), head_tape)
+    return score, h, trunk_tape, head_tape
 
 
 def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
@@ -145,10 +159,7 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
     `left` is the matrix that layer's input-gradient matmul took.
     """
     n, d = interp.shape[0], model.n_features
-    trunk_tape, head_tape = [], []
-    h = model.critic_trunk.forward_values(interp[:, 0:d], trunk_tape)
-    model.critic_head.forward_values(np.concatenate([h, interp[:, d:d + 1]], axis=1),
-                                     head_tape)
+    _, h, trunk_tape, head_tape = _score(model, interp)
     weights = [w.value for w, _ in model.critic_trunk.layers + model.critic_head.layers]
     masks = [mask for _, mask in trunk_tape + head_tape]
     first_head, width = len(trunk_tape), h.shape[1]
@@ -162,8 +173,7 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
         g = g @ weights[i].T
         if i == first_head:
             g_y, g = g[:, width:width + 1], g[:, 0:width]
-    g = (np.concatenate([g, np.zeros((n, 1))], axis=1)
-         + np.concatenate([np.zeros((n, d)), g_y], axis=1))
+    g = np.concatenate([g, g_y], axis=1)
     sq_norm = (g * g).sum(axis=1, keepdims=True) + 1e-24
     excess = sq_norm ** 0.5 + -1.0
     total = sum_rows(excess * excess)
@@ -174,6 +184,7 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
     G = gg[:, 0:d]
     for i in range(len(weights)):
         if i == first_head:
+            # a product, so possibly -0.0, which the graph's padded add turns to +0.0
             G = (np.concatenate([np.zeros((n, width)), gg[:, d:d + 1]], axis=1)
                  + np.concatenate([G, np.zeros((n, 1))], axis=1))
         pieces.append((lefts[i].T @ G).T)
@@ -184,23 +195,18 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
     return total, pieces
 
 
-def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
+def critic_regressor_loss(model: RganModel, real: np.ndarray, fake: np.ndarray,
                           mu: np.ndarray, config: GanConfig):
-    """Joint critic(+regressor) objective: (gradients, float parts).
+    """Joint critic(+regressor) objective on joint rows: (gradients, float parts).
 
-    The gradients follow `critic_step_params()`. They are derived by hand
-    and repeat the backward pass of the recorded objective operation by
-    operation (tests/ keep that graph as the oracle), so they are
-    bit-identical to it. Each parameter sums its pieces left to right in
-    the order fake score, real score, penalty, regression on fake rows,
-    regression on real rows.
+    `mu` weighs the real rows in the interpolates. The gradients follow
+    `critic_step_params()`. They are derived by hand and repeat the backward
+    pass of the recorded objective operation by operation (tests/ keep that
+    graph as the oracle), so they are bit-identical to it. Each parameter
+    sums its pieces left to right in the order fake score, real score,
+    penalty, regression on fake rows, regression on real rows.
     """
-    real_x = np.asarray(real_x, dtype=float)
-    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
-    fake_x = np.asarray(fake_x, dtype=float)
-    fake_y = np.reshape(np.asarray(fake_y, dtype=float), (-1, 1))
-    mu = np.reshape(np.asarray(mu, dtype=float), (-1, 1))
-    n = _batch_rows(real_x=real_x, real_y=real_y, fake_x=fake_x, fake_y=fake_y, mu=mu)
+    n, d = _batch_rows(model, real=real, fake=fake, mu=mu), model.n_features
     trunk, head = model.critic_trunk, model.critic_head
     params = model.critic_step_params()
     grads = [None] * len(params)
@@ -211,24 +217,22 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
 
     seed = np.ones((1, 1))
     n_trunk = len(trunk.params())
-    features, means = {}, {}
-    for name, x, y, sign in (("fake", fake_x, fake_y, seed),
-                             ("real", real_x, real_y, seed * -1.0)):
-        trunk_tape, head_tape = [], []
-        h = trunk.forward_values(x, trunk_tape)
-        score = head.forward_values(np.concatenate([h, y], axis=1), head_tape)
-        means[name] = sum_rows(score) * (1.0 / n)
-        features[name] = h, trunk_tape
+    taped, means = [], []
+    for rows, sign in ((fake, seed), (real, seed * -1.0)):
+        score, h, trunk_tape, head_tape = _score(model, rows)
+        means.append(sum_rows(score) * (1.0 / n))
+        taped.append((rows, h, trunk_tape))
         head_grads, g = head.backward(head_tape, np.broadcast_to(sign * (1.0 / n), (n, 1)),
                                       need_input=True)
         add(0, trunk.backward(trunk_tape, g[:, 0:h.shape[1]])[0])
         add(n_trunk, head_grads)
-    loss = means["fake"] - means["real"]
-    parts = {"wasserstein": float(means["real"][0, 0]) - float(means["fake"][0, 0])}
+    mean_fake, mean_real = means
+    loss = mean_fake - mean_real
+    parts = {"wasserstein": float(mean_real[0, 0]) - float(mean_fake[0, 0])}
 
     if config.gp_weight != 0.0:
-        interp = mu * np.hstack([real_x, real_y]) + (1.0 - mu) * np.hstack([fake_x, fake_y])
-        pen, pieces = _penalty(model, interp, seed * (config.gp_weight / n))
+        pen, pieces = _penalty(model, mu * real + (1.0 - mu) * fake,
+                               seed * (config.gp_weight / n))
         loss = loss + pen * (config.gp_weight / n)
         parts["penalty"] = float(pen[0, 0]) / n
         add(0, pieces, stride=2)
@@ -238,12 +242,12 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     if config.critic_reg_weight != 0.0:
         shared = model.config.share_trunk
         residuals = []
-        for name, x, y in (("fake", fake_x, fake_y), ("real", real_x, real_y)):
-            h, trunk_tape = features[name] if shared else (
-                model.regressor_trunk.forward_values(x), None)
+        for rows, h, trunk_tape in taped:
+            if not shared:
+                h, trunk_tape = model.regressor_trunk.forward_values(rows[:, 0:d]), None
             head_tape = []
-            residuals.append((model.regressor_head.forward_values(h, head_tape) - y,
-                              head_tape, trunk_tape))
+            residuals.append((model.regressor_head.forward_values(h, head_tape)
+                              - rows[:, d:d + 1], head_tape, trunk_tape))
         (r_fake, *_), (r_real, *_) = residuals
         reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
         loss = loss + reg * config.critic_reg_weight
@@ -262,21 +266,17 @@ def critic_regressor_loss(model: RganModel, real_x, real_y, fake_x, fake_y,
     return [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)], parts
 
 
-def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
+def generator_loss(model: RganModel, noise: np.ndarray, real: np.ndarray,
                    config: GanConfig):
     """Adversarial + regression-consistency generator objective: (gradients, float parts).
 
     Only the generator is recorded; the rest of the backward repeats the recorded
     objective's by hand (tests/ keep it as the oracle), so it is bit-identical.
     """
-    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
-    n = _batch_rows(noise=noise, real_x=real_x, real_y=real_y)
-    d, seed = model.n_features, np.ones((1, 1))
+    n, d, seed = _batch_rows(model, noise=noise, real=real), model.n_features, np.ones((1, 1))
     out = model.generator.forward(Tensor(noise))
-    fake_x, fake_y = out.value[:, 0:d], out.value[:, d:d + 1]
-    trunk_tape, head_tape = [], []
-    h = model.critic_trunk.forward_values(fake_x, trunk_tape)
-    score = model.critic_head.forward_values(np.concatenate([h, fake_y], axis=1), head_tape)
+    fake = out.value
+    score, h, trunk_tape, head_tape = _score(model, fake)
     loss = (sum_rows(score) * (1.0 / n)) * -1.0
     parts = {"adversarial": float(loss[0, 0]), "regression": float("nan")}
     g = model.critic_head.backward(head_tape, np.broadcast_to((seed * -1.0) * (1.0 / n), (n, 1)),
@@ -287,11 +287,11 @@ def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
     if config.gen_reg_weight != 0.0:
         if not model.config.share_trunk:
             trunk_tape = []
-            h = model.regressor_trunk.forward_values(fake_x, trunk_tape)
+            h = model.regressor_trunk.forward_values(fake[:, 0:d], trunk_tape)
         head_tape = []
-        r_fake = model.regressor_head.forward_values(h, head_tape) - fake_y
-        r_real = (model.regressor_head.forward_values(model.regressor_trunk.forward_values(real_x))
-                  - real_y)
+        r_fake = model.regressor_head.forward_values(h, head_tape) - fake[:, d:d + 1]
+        r_real = (model.regressor_head.forward_values(
+            model.regressor_trunk.forward_values(real[:, 0:d])) - real[:, d:d + 1])
         reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
         loss = loss + reg * config.gen_reg_weight
         parts["regression"] = float(reg[0, 0])
@@ -301,9 +301,9 @@ def generator_loss(model: RganModel, noise: np.ndarray, real_x, real_y,
         g_y = g_y + g_r * -1.0
 
     parts["loss"] = float(loss[0, 0])
-    # each recorded slice sends back a zero-padded piece; 1.0 * g_out sends their sum
-    g_out = (np.concatenate([g_x, np.zeros((n, 1))], axis=1)
-             + np.concatenate([np.zeros((n, d)), g_y], axis=1))
+    # the graph's seed is 1.0 * g_out, the sum of the slices' zero-padded pieces; both
+    # pieces come out of matmuls, never -0.0, so padding and adding changes no bit
+    g_out = np.concatenate([g_x, g_y], axis=1)
     return ad.grad_values(ad.sum_all(ad.mul(out, Tensor(g_out))), model.generator_params()), parts
 
 
@@ -359,9 +359,7 @@ def train(train_ds: TabularDataset, config: GanConfig,
     trace = TrainTrace.empty()
     trace.pretrain_mse = pretrain_regressor(model, train_ds, config)
 
-    x = train_ds.features
-    y = train_ds.labels.reshape(-1, 1)
-    m, d = x.shape
+    rows = train_ds.joint()
     adam_c = Adam(model.critic_step_params(), config.learning_rate)
     adam_g = Adam(model.generator_params(), config.learning_rate)
 
@@ -369,19 +367,18 @@ def train(train_ds: TabularDataset, config: GanConfig,
         parts = {}
         try:
             for _ in range(config.n_critic):
-                idx = rng.integers(0, m, config.batch_size)
+                idx = rng.integers(0, len(rows), config.batch_size)
                 z = gaussian_noise(config.batch_size, config.noise_dim, rng)
                 fake = model.generator.forward_values(z)
                 mu = rng.uniform(config.batch_size, 1)
-                grads, parts = critic_regressor_loss(
-                    model, x[idx], y[idx], fake[:, :d], fake[:, d:], mu, config)
+                grads, parts = critic_regressor_loss(model, rows[idx], fake, mu, config)
                 if not np.isfinite(parts["loss"]):
                     raise DivergenceError(
                         f"non-finite critic loss at iteration {it}", trace=trace)
                 adam_c.step(grads)
             z = gaussian_noise(config.batch_size, config.noise_dim, rng)
-            idx = rng.integers(0, m, config.batch_size)
-            ggrads, gparts = generator_loss(model, z, x[idx], y[idx], config)
+            idx = rng.integers(0, len(rows), config.batch_size)
+            ggrads, gparts = generator_loss(model, z, rows[idx], config)
             if not np.isfinite(gparts["loss"]):
                 raise DivergenceError(
                     f"non-finite generator loss at iteration {it}", trace=trace)

@@ -3,12 +3,15 @@
 The critic and generator objectives and the MSE fit below build an
 autodiff graph and differentiate it. The program computes the same
 gradients by hand; the tests hold them to these references bit for bit.
+`train` writes the adversarial loop out on these references.
 """
 import numpy as np
 
+from softaug import RganModel, SeededRng
 from softaug import autodiff as ad
 from softaug.autodiff import Tensor
 from softaug.errors import ContractError
+from softaug.rng import gaussian_noise
 
 
 def critic_score(model, x, y):
@@ -21,13 +24,15 @@ def regressor_predict(model, x):
     return model.regressor_head.forward(model.regressor_trunk.forward(x))
 
 
-def regression_loss(model, real_x, real_y, fake_x, fake_y):
+def regression_loss(model, real, fake_x, fake_y):
     """Mean joint residual over a real and a fake batch of equal size.
 
-    The fake rows are graph nodes: the batch the critic scores, or the
-    generator's output in its update. `fake_y` is a column.
+    `real` holds joint [x, y] rows. The fake rows are graph nodes: the
+    batch the critic scores, or the generator's output in its update.
+    `fake_y` is a column.
     """
-    rx, ry = Tensor(real_x), Tensor(np.reshape(real_y, (-1, 1)))
+    d = model.n_features
+    rx, ry = Tensor(real[:, :d]), Tensor(real[:, d:])
     if rx.shape[0] != fake_x.shape[0]:
         raise ContractError(
             f"real and fake batches must match: {rx.shape[0]} vs {fake_x.shape[0]}")
@@ -36,29 +41,24 @@ def regression_loss(model, real_x, real_y, fake_x, fake_y):
     return ad.scale(ad.add(fake_term, real_term), 1.0 / rx.shape[0])
 
 
-def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
-    """Joint critic(+regressor) objective; returns (loss node, float parts)."""
-    real_x = np.asarray(real_x, dtype=float)
-    real_y = np.reshape(np.asarray(real_y, dtype=float), (-1, 1))
-    fake_x = np.asarray(fake_x, dtype=float)
-    fake_y = np.reshape(np.asarray(fake_y, dtype=float), (-1, 1))
-    mu = np.reshape(np.asarray(mu, dtype=float), (-1, 1))
-    n = real_x.shape[0]
-    if fake_x.shape[0] != n or mu.shape[0] != n:
+def critic_regressor_loss(model, real, fake, mu, config):
+    """Joint critic(+regressor) objective on joint [x, y] rows; returns (loss node, float parts).
+
+    `mu` is the (n, 1) column of interpolation weights on the real rows.
+    """
+    n = real.shape[0]
+    if fake.shape[0] != n or mu.shape[0] != n:
         raise ContractError("real, fake and mu must have the same row count")
     d = model.n_features
 
-    d_real = ad.mean_all(critic_score(model, Tensor(real_x), Tensor(real_y)))
-    fake_xt, fake_yt = Tensor(fake_x), Tensor(fake_y)
+    d_real = ad.mean_all(critic_score(model, Tensor(real[:, :d]), Tensor(real[:, d:])))
+    fake_xt, fake_yt = Tensor(fake[:, :d]), Tensor(fake[:, d:])
     d_fake = ad.mean_all(critic_score(model, fake_xt, fake_yt))
     loss = ad.sub(d_fake, d_real)
     parts = {"wasserstein": d_real.item() - d_fake.item()}
 
     if config.gp_weight != 0.0:
-        joint_real = np.hstack([real_x, real_y])
-        joint_fake = np.hstack([fake_x, fake_y])
-        interp = mu * joint_real + (1.0 - mu) * joint_fake
-        jt = Tensor(interp, requires_grad=True)
+        jt = Tensor(mu * real + (1.0 - mu) * fake, requires_grad=True)
         score = critic_score(model, ad.slice_cols(jt, 0, d), ad.slice_cols(jt, d, d + 1))
         g = ad.grad(ad.sum_all(score), [jt])[0]
         pen = ad.sum_all(ad.square(ad.shift(ad.norm_rows(g), -1.0)))
@@ -68,7 +68,7 @@ def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
         parts["penalty"] = 0.0
 
     if config.critic_reg_weight != 0.0:
-        reg = regression_loss(model, real_x, real_y, fake_xt, fake_yt)
+        reg = regression_loss(model, real, fake_xt, fake_yt)
         loss = ad.add(loss, ad.scale(reg, config.critic_reg_weight))
         parts["regression"] = reg.item()
     else:
@@ -78,14 +78,15 @@ def critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config):
     return loss, parts
 
 
-def critic_gradients(model, real_x, real_y, fake_x, fake_y, mu, config):
+def critic_gradients(model, real, fake, mu, config):
     """(gradients of `critic_step_params()`, parts) from the recorded graph."""
-    loss, parts = critic_regressor_loss(model, real_x, real_y, fake_x, fake_y, mu, config)
+    loss, parts = critic_regressor_loss(model, real, fake, mu, config)
     return ad.grad_values(loss, model.critic_step_params()), parts
 
 
-def generator_loss(model, noise, real_x, real_y, config):
-    """Adversarial + regression-consistency generator objective: (loss node, float parts)."""
+def generator_loss(model, noise, real, config):
+    """Adversarial + regression-consistency generator objective on joint [x, y]
+    rows `real`: (loss node, float parts)."""
     d = model.n_features
 
     out = model.generator.forward(Tensor(noise))
@@ -94,7 +95,7 @@ def generator_loss(model, noise, real_x, real_y, config):
     parts = {"adversarial": loss.item()}
 
     if config.gen_reg_weight != 0.0:
-        reg = regression_loss(model, real_x, real_y, fx, fy)
+        reg = regression_loss(model, real, fx, fy)
         loss = ad.add(loss, ad.scale(reg, config.gen_reg_weight))
         parts["regression"] = reg.item()
     else:
@@ -104,9 +105,9 @@ def generator_loss(model, noise, real_x, real_y, config):
     return loss, parts
 
 
-def generator_gradients(model, noise, real_x, real_y, config):
+def generator_gradients(model, noise, real, config):
     """(gradients of `generator_params()`, parts) from the recorded graph."""
-    loss, parts = generator_loss(model, noise, real_x, real_y, config)
+    loss, parts = generator_loss(model, noise, real, config)
     return ad.grad_values(loss, model.generator_params()), parts
 
 
@@ -147,3 +148,35 @@ def fit_mse(nets, x, y, epochs, learning_rate):
         history.append(loss.item())
         opt.step(ad.grad_values(loss, params))
     return history
+
+
+def train(train_ds, config, seed):
+    """The adversarial loop on the recorded graph: (model, pretrain history, trace rows).
+
+    Keeps features and labels apart and joins each batch's rows itself. It
+    draws the streams in the documented order (real indices, noise, mu per
+    critic step; then noise and real indices) and steps `TensorAdam`.
+    """
+    rng = SeededRng(seed)
+    model = RganModel(train_ds.n_features, config, rng)
+    x, y = train_ds.features, train_ds.labels.reshape(-1, 1)
+    lr = config.pretrain_lr if config.pretrain_lr is not None else config.learning_rate
+    pretrain = fit_mse([model.regressor_trunk, model.regressor_head], x, y,
+                       config.pretrain_epochs, lr)
+    adam_c = TensorAdam(model.critic_step_params(), config.learning_rate)
+    adam_g = TensorAdam(model.generator_params(), config.learning_rate)
+    n, rows = config.batch_size, []
+    for it in range(config.iterations):
+        for _ in range(config.n_critic):
+            idx = rng.integers(0, len(x), n)
+            fake = model.generator.forward(Tensor(gaussian_noise(n, config.noise_dim, rng))).value
+            mu = rng.uniform(n, 1)
+            grads, parts = critic_gradients(model, np.hstack([x[idx], y[idx]]), fake, mu, config)
+            adam_c.step(grads)
+        z = gaussian_noise(n, config.noise_dim, rng)
+        idx = rng.integers(0, len(x), n)
+        grads, gen_parts = generator_gradients(model, z, np.hstack([x[idx], y[idx]]), config)
+        adam_g.step(grads)
+        rows.append((it, parts["loss"], gen_parts["loss"], parts["regression"],
+                     parts["wasserstein"], parts["penalty"]))
+    return model, pretrain, rows

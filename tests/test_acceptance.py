@@ -57,26 +57,23 @@ def _toy_config(**overrides):
 
 
 def _toy_batch(seed, n=4, d=2, noise_dim=4):
+    """Joint real rows, joint fake rows, an (n, 1) mu and generator noise."""
     rng = np.random.default_rng(seed)
-    return (rng.uniform(size=(n, d)), rng.uniform(size=n),
-            rng.uniform(size=(n, d)), rng.uniform(size=n),
-            rng.uniform(size=(n, 1)), rng.normal(size=(n, noise_dim)))
+    real = np.hstack([rng.uniform(size=(n, d)), rng.uniform(size=(n, 1))])
+    fake = np.hstack([rng.uniform(size=(n, d)), rng.uniform(size=(n, 1))])
+    return real, fake, rng.uniform(size=(n, 1)), rng.normal(size=(n, noise_dim))
 
 
 def _clear_of_kinks(cfg, seed, margin=1e-3):
     """Every leaky pre-activation on every loss path stays off its kink."""
     model = RganModel(2, cfg, SeededRng(1000 + seed))
-    rx, ry, fx, fy, mu, noise = _toy_batch(seed)
-    jx = mu * np.hstack([rx, ry.reshape(-1, 1)]) \
-        + (1.0 - mu) * np.hstack([fx, fy.reshape(-1, 1)])
-    gen_out = model.generator.forward_values(noise)
-    gx, gy = gen_out[:, :2], gen_out[:, 2:]
+    real, fake, mu, noise = _toy_batch(seed)
     inputs = [(model.generator, noise)]
-    for x, y in ((rx, ry.reshape(-1, 1)), (fx, fy.reshape(-1, 1)),
-                 (jx[:, :2], jx[:, 2:]), (gx, gy)):
-        h = model.critic_trunk.forward_values(x)
-        inputs += [(model.critic_trunk, x),
-                   (model.critic_head, np.hstack([h, y])),
+    for rows in (real, fake, mu * real + (1.0 - mu) * fake,
+                 model.generator.forward_values(noise)):
+        h = model.critic_trunk.forward_values(rows[:, :2])
+        inputs += [(model.critic_trunk, rows[:, :2]),
+                   (model.critic_head, np.hstack([h, rows[:, 2:]])),
                    (model.regressor_head, h)]
     return all(leaky_margin(net, x, margin) for net, x in inputs)
 
@@ -89,26 +86,26 @@ def test_criterion_01_loss_gradients_match_finite_differences():
     for _ in range(3):
         seed = kink_safe_seed(lambda s: _clear_of_kinks(cfg, s), start)
         start = seed + 1
-        rx, ry, fx, fy, mu, noise = _toy_batch(seed)
+        real, fake, mu, noise = _toy_batch(seed)
 
         shared = RganModel(2, cfg, SeededRng(1000 + seed))
-        grads, _ = critic_regressor_loss(shared, rx, ry, fx, fy, mu, cfg)
+        grads, _ = critic_regressor_loss(shared, real, fake, mu, cfg)
         numeric = central_difference(
-            lambda: critic_regressor_loss(shared, rx, ry, fx, fy, mu, cfg)[1]["loss"],
+            lambda: critic_regressor_loss(shared, real, fake, mu, cfg)[1]["loss"],
             shared.critic_step_params())
         worst = max(worst, max_relative_error(grads, numeric))
 
-        ggrads, _ = generator_loss(shared, noise, rx, ry, cfg)
+        ggrads, _ = generator_loss(shared, noise, real, cfg)
         numeric = central_difference(
-            lambda: generator_loss(shared, noise, rx, ry, cfg)[1]["loss"],
+            lambda: generator_loss(shared, noise, real, cfg)[1]["loss"],
             shared.generator_params())
         worst = max(worst, max_relative_error(ggrads, numeric))
 
         plain_cfg = cfg.wgan_gp_mode()
         plain = RganModel(2, plain_cfg, SeededRng(1000 + seed))
-        cgrads, _ = critic_regressor_loss(plain, rx, ry, fx, fy, mu, plain_cfg)
+        cgrads, _ = critic_regressor_loss(plain, real, fake, mu, plain_cfg)
         numeric = central_difference(
-            lambda: critic_regressor_loss(plain, rx, ry, fx, fy, mu, plain_cfg)[1]["loss"],
+            lambda: critic_regressor_loss(plain, real, fake, mu, plain_cfg)[1]["loss"],
             plain.critic_step_params())
         worst = max(worst, max_relative_error(cgrads, numeric))
 
@@ -165,7 +162,8 @@ def test_criterion_02_plain_adversarial_loss_parity():
         rx, ry = rng.uniform(size=(6, 3)), rng.uniform(size=6)
         fx, fy = rng.uniform(size=(6, 3)), rng.uniform(size=6)
         mu = rng.uniform(size=(6, 1))
-        _, parts = critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)
+        real, fake = np.hstack([rx, ry[:, None]]), np.hstack([fx, fy[:, None]])
+        _, parts = critic_regressor_loss(model, real, fake, mu, cfg)
         want = _independent_wgan_loss(model, rx, ry, fx, fy, mu, cfg.gp_weight)
         worst = max(worst, abs(parts["loss"] - want))
     ok = worst < 1e-10

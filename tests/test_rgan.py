@@ -1,4 +1,5 @@
 """Adversarial trainer: losses, modes, training loop, checkpoints."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from softaug import (GanConfig, RganModel, SeededRng, Tensor, generate,
                      load_checkpoint, save_checkpoint, train)
 from softaug import autodiff as ad
 from softaug.data import TabularDataset
-from softaug.errors import ConfigError, ContractError, DivergenceError
+from softaug.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from softaug.layers import SLOPE
 from softaug.optim import Adam
 from softaug.rgan import critic_regressor_loss, generator_loss, pretrain_regressor
@@ -32,11 +33,16 @@ def _train_ds(n=10, d=2, seed=0):
                           tuple(f"x{i+1}" for i in range(d)))
 
 
+def _joint(x, y):
+    return np.hstack([x, np.reshape(y, (-1, 1))])
+
+
 def _batch(n, d, seed):
+    """Joint real rows, joint fake rows and an (n, 1) mu."""
     rng = np.random.default_rng(seed)
-    return (rng.uniform(size=(n, d)), rng.uniform(size=n),
-            rng.uniform(size=(n, d)), rng.uniform(size=n),
-            rng.uniform(size=(n, 1)))
+    real = _joint(rng.uniform(size=(n, d)), rng.uniform(size=n))
+    fake = _joint(rng.uniform(size=(n, d)), rng.uniform(size=n))
+    return real, fake, rng.uniform(size=(n, 1))
 
 
 def _critic_scores(model, x, y):
@@ -103,27 +109,27 @@ def test_model_rejects_zero_features():
 
 def test_regression_loss_matches_value_oracle():
     model = RganModel(2, _tiny(), SeededRng(3))
-    rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
-    got = graph_reference.regression_loss(model, rx, ry, Tensor(fx),
-                                          Tensor(fy.reshape(-1, 1))).item()
-    fake_res = _regressor_predictions(model, fx) - fy
-    real_res = _regressor_predictions(model, rx) - ry
+    real, fake, _ = _batch(6, 2, seed=1)
+    got = graph_reference.regression_loss(model, real, Tensor(fake[:, :2]),
+                                          Tensor(fake[:, 2:])).item()
+    fake_res = _regressor_predictions(model, fake[:, :2]) - fake[:, 2]
+    real_res = _regressor_predictions(model, real[:, :2]) - real[:, 2]
     want = (np.sum(fake_res ** 2) + np.sum(real_res ** 2)) / 6
     assert abs(got - want) < 1e-12
 
 
 def test_regression_loss_requires_equal_batches():
     model = RganModel(2, _tiny(), SeededRng(3))
-    rx, ry, fx, fy, _ = _batch(6, 2, seed=1)
+    real, fake, _ = _batch(6, 2, seed=1)
     with pytest.raises(ContractError):
-        graph_reference.regression_loss(model, rx[:4], ry[:4], Tensor(fx),
-                                        Tensor(fy.reshape(-1, 1)))
+        graph_reference.regression_loss(model, real[:4], Tensor(fake[:, :2]),
+                                        Tensor(fake[:, 2:]))
 
 
 def test_wasserstein_part_is_zero_for_identical_batches():
     model = RganModel(2, _tiny(), SeededRng(5))
-    rx, ry, _, _, mu = _batch(5, 2, seed=2)
-    _, parts = critic_regressor_loss(model, rx, ry, rx, ry, mu, _tiny())
+    real, _, mu = _batch(5, 2, seed=2)
+    _, parts = critic_regressor_loss(model, real, real, mu, _tiny())
     assert parts["wasserstein"] == 0.0
 
 
@@ -148,7 +154,7 @@ def test_linear_critic_penalty_hand_case():
     x = rng.uniform(0.1, 0.9, size=(4, 1))
     y = rng.uniform(0.1, 0.9, size=4)
     mu = rng.uniform(size=(4, 1))
-    _, parts = critic_regressor_loss(model, x, y, x, y, mu, cfg)
+    _, parts = critic_regressor_loss(model, _joint(x, y), _joint(x, y), mu, cfg)
     assert parts["wasserstein"] == 0.0
     assert parts["penalty"] == 16.0
     assert parts["loss"] == 8.0
@@ -158,8 +164,8 @@ def test_linear_critic_penalty_hand_case():
 def test_zero_weights_reduce_critic_loss_to_wasserstein():
     cfg = _tiny(gp_weight=0.0, critic_reg_weight=0.0)
     model = RganModel(2, cfg, SeededRng(6))
-    rx, ry, fx, fy, mu = _batch(5, 2, seed=3)
-    _, parts = critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)
+    real, fake, mu = _batch(5, 2, seed=3)
+    _, parts = critic_regressor_loss(model, real, fake, mu, cfg)
     assert parts["penalty"] == 0.0
     assert np.isnan(parts["regression"])
     assert parts["loss"] == -parts["wasserstein"]
@@ -168,31 +174,62 @@ def test_zero_weights_reduce_critic_loss_to_wasserstein():
 def test_critic_loss_batch_contracts():
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(6))
-    rx, ry, fx, fy, mu = _batch(5, 2, seed=3)
+    real, fake, mu = _batch(5, 2, seed=3)
     with pytest.raises(ContractError):
-        critic_regressor_loss(model, rx[:3], ry[:3], fx, fy, mu, cfg)
+        critic_regressor_loss(model, real[:3], fake, mu, cfg)
     with pytest.raises(ContractError):
-        critic_regressor_loss(model, rx, ry, fx, fy, mu[:3], cfg)
+        critic_regressor_loss(model, real, fake, mu[:3], cfg)
 
 
-def test_label_row_counts_must_match_their_batch():
-    # a label column of another row count is refused with both counts named,
-    # not left to numpy's concatenate or broadcasting (one row broadcasts)
+def test_row_counts_must_match_across_the_batch():
+    # another row count is refused with both counts named, not left to
+    # numpy's broadcasting (one row broadcasts against any batch)
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(6))
-    rx, ry, fx, fy, mu = _batch(4, 2, seed=3)
+    real, fake, mu = _batch(4, 2, seed=3)
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(1))
-    for labels in (np.resize(ry, 5), ry[:3], ry[:1]):
-        with pytest.raises(ContractError, match=f"real_x has 4, real_y has {labels.size}"):
-            critic_regressor_loss(model, rx, labels, fx, fy, mu, cfg)
-        with pytest.raises(ContractError, match=f"real_x has 4, fake_y has {labels.size}"):
-            critic_regressor_loss(model, rx, ry, fx, labels, mu, cfg)
-        with pytest.raises(ContractError, match=f"noise has 4, real_y has {labels.size}"):
-            generator_loss(model, z, rx, labels, cfg)
+    for rows in (5, 3, 1):
+        with pytest.raises(ContractError, match=f"real has 4, fake has {rows}"):
+            critic_regressor_loss(model, real, np.resize(fake, (rows, 3)), mu, cfg)
+        with pytest.raises(ContractError, match=f"real has 4, mu has {rows}"):
+            critic_regressor_loss(model, real, fake, np.resize(mu, (rows, 1)), cfg)
+        with pytest.raises(ContractError, match=f"noise has 4, real has {rows}"):
+            generator_loss(model, z, np.resize(real, (rows, 3)), cfg)
 
 
-def _hand_wgan_loss(model, real_x, real_y, fake_x, fake_y, mu, beta):
-    """Plain-numpy critic loss: score means, interpolates, penalty."""
+def _shape_error(name, got, want):
+    return pytest.raises(ShapeError, match=re.escape(f"{name} has shape {got}, expected {want}"))
+
+
+@pytest.mark.parametrize("gp_weight", [0.0, 0.5])
+def test_joint_rows_must_have_one_column_per_feature_and_the_label(gp_weight):
+    # with no penalty to refuse the interpolation, a 4-column batch against
+    # d = 2 would read an x column as y and return finite parts
+    cfg = _tiny(gp_weight=gp_weight)
+    model = RganModel(2, cfg, SeededRng(6))
+    real, fake, mu = _batch(4, 2, seed=3)
+    z = gaussian_noise(4, cfg.noise_dim, SeededRng(1))
+    for bad in (_joint(real, real[:, 0]), real[:, :2], real[:, 0]):
+        with _shape_error("real", bad.shape, (4, 3)):
+            critic_regressor_loss(model, bad, fake, mu, cfg)
+        with _shape_error("fake", bad.shape, (4, 3)):
+            critic_regressor_loss(model, real, bad, mu, cfg)
+        with _shape_error("real", bad.shape, (4, 3)):
+            generator_loss(model, z, bad, cfg)
+
+
+def test_mu_must_be_one_column():
+    # a 1-D mu of n = d + 1 entries would broadcast along the columns
+    cfg = _tiny()
+    model = RganModel(2, cfg, SeededRng(6))
+    real, fake, mu = _batch(3, 2, seed=3)
+    for bad in (mu.ravel(), np.hstack([mu, mu])):
+        with _shape_error("mu", bad.shape, (3, 1)):
+            critic_regressor_loss(model, real, fake, bad, cfg)
+
+
+def _hand_wgan_loss(model, real, fake, mu, beta):
+    """Plain-numpy critic loss of joint rows: score means, interpolates, penalty."""
     s = SLOPE
     d = model.n_features
     width = model.config.trunk_width
@@ -205,17 +242,16 @@ def _hand_wgan_loss(model, real_x, real_y, fake_x, fake_y, mu, beta):
     def dleaky(z):
         return np.where(z > 0.0, 1.0, s)
 
-    def score(x, y):
-        h = leaky(x @ tw.value + tb.value)
-        z2 = np.hstack([h, y.reshape(-1, 1)]) @ w1.value + b1.value
+    def score(rows):
+        h = leaky(rows[:, :d] @ tw.value + tb.value)
+        z2 = np.hstack([h, rows[:, d:]]) @ w1.value + b1.value
         return leaky(z2) @ w2.value + b2.value
 
-    n = real_x.shape[0]
-    d_real = float(score(real_x, real_y).mean())
-    d_fake = float(score(fake_x, fake_y).mean())
+    n = real.shape[0]
+    d_real = float(score(real).mean())
+    d_fake = float(score(fake).mean())
 
-    joint = mu * np.hstack([real_x, real_y.reshape(-1, 1)]) \
-        + (1.0 - mu) * np.hstack([fake_x, fake_y.reshape(-1, 1)])
+    joint = mu * real + (1.0 - mu) * fake
     z1 = joint[:, :d] @ tw.value + tb.value
     z2 = np.hstack([leaky(z1), joint[:, d:]]) @ w1.value + b1.value
     g_z2 = dleaky(z2) * w2.value.ravel()[None, :]
@@ -230,9 +266,9 @@ def test_critic_loss_in_baseline_mode_matches_hand_coded_wgan_gp():
     for seed in range(5):
         cfg = _tiny(gp_weight=0.5).wgan_gp_mode()
         model = RganModel(3, cfg, SeededRng(100 + seed))
-        rx, ry, fx, fy, mu = _batch(8, 3, seed=200 + seed)
-        _, parts = critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)
-        want = _hand_wgan_loss(model, rx, ry, fx, fy, mu, cfg.gp_weight)
+        real, fake, mu = _batch(8, 3, seed=200 + seed)
+        _, parts = critic_regressor_loss(model, real, fake, mu, cfg)
+        want = _hand_wgan_loss(model, real, fake, mu, cfg.gp_weight)
         assert abs(parts["loss"] - want) < 1e-10
 
 
@@ -240,8 +276,8 @@ def test_generator_loss_without_regression_is_pure_adversarial():
     cfg = _tiny(gen_reg_weight=0.0)
     model = RganModel(2, cfg, SeededRng(8))
     z = gaussian_noise(6, cfg.noise_dim, SeededRng(1))
-    rx, ry, _, _, _ = _batch(6, 2, seed=5)
-    _, parts = generator_loss(model, z, rx, ry, cfg)
+    real, _, _ = _batch(6, 2, seed=5)
+    _, parts = generator_loss(model, z, real, cfg)
     assert parts["loss"] == parts["adversarial"]
     assert np.isnan(parts["regression"])
     fake = model.generator.forward_values(z)
@@ -260,9 +296,9 @@ def test_zero_fake_residual_leaves_only_the_real_term():
     model.regressor_head.layers[-1][1].value[...] = 0.5
 
     z = gaussian_noise(5, cfg.noise_dim, SeededRng(2))
-    rx, ry, _, _, _ = _batch(5, 2, seed=6)
-    _, parts = generator_loss(model, z, rx, ry, cfg)
-    want = float(np.sum((0.5 - ry) ** 2)) / 5
+    real, _, _ = _batch(5, 2, seed=6)
+    _, parts = generator_loss(model, z, real, cfg)
+    want = float(np.sum((0.5 - real[:, 2]) ** 2)) / 5
     assert abs(parts["regression"] - want) < 1e-15
 
 
@@ -270,9 +306,9 @@ def test_generator_loss_checks_real_batch_size():
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(8))
     z = gaussian_noise(6, cfg.noise_dim, SeededRng(1))
-    rx, ry, _, _, _ = _batch(4, 2, seed=5)
-    with pytest.raises(ContractError, match="noise has 6, real_x has 4"):
-        generator_loss(model, z, rx, ry, cfg)
+    real, _, _ = _batch(4, 2, seed=5)
+    with pytest.raises(ContractError, match="noise has 6, real has 4"):
+        generator_loss(model, z, real, cfg)
 
 
 # ---------------------------------------------------------------- gradients
@@ -281,23 +317,22 @@ def test_generator_gradients_match_finite_differences():
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(11))
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(3))
-    rx, ry, _, _, _ = _batch(4, 2, seed=7)
+    real, _, _ = _batch(4, 2, seed=7)
     params = model.generator_params()
-    analytic, _ = generator_loss(model, z, rx, ry, cfg)
+    analytic, _ = generator_loss(model, z, real, cfg)
     numeric = central_difference(
-        lambda: generator_loss(model, z, rx, ry, cfg)[1]["loss"], params)
+        lambda: generator_loss(model, z, real, cfg)[1]["loss"], params)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
 def test_critic_gradients_match_finite_differences():
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(12))
-    rx, ry, fx, fy, mu = _batch(4, 2, seed=8)
+    real, fake, mu = _batch(4, 2, seed=8)
     params = model.critic_step_params()
-    analytic, _ = critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)
+    analytic, _ = critic_regressor_loss(model, real, fake, mu, cfg)
     numeric = central_difference(
-        lambda: critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)[1]["loss"],
-        params)
+        lambda: critic_regressor_loss(model, real, fake, mu, cfg)[1]["loss"], params)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -340,7 +375,7 @@ def test_critic_step_equals_the_graph_reference_bit_for_bit(mode):
             rng = np.random.default_rng(n * 100 + d)
             fake = rng.uniform(size=(n, d + 1))      # the generator's joint rows
             rx, ry, mu = rng.uniform(size=(n, d)), rng.uniform(size=n), rng.uniform(size=(n, 1))
-            args = (rx, ry, fake[:, :d], fake[:, d:], mu, cfg)
+            args = (_joint(rx, ry), fake, mu, cfg)
             grads, parts = critic_regressor_loss(model, *args)
             want, want_parts = graph_reference.critic_gradients(model, *args)
             assert len(grads) == len(model.critic_step_params())
@@ -360,7 +395,7 @@ def test_generator_step_equals_the_graph_reference_bit_for_bit(mode):
             _distinct_trunks(model)
             rng = np.random.default_rng(n * 100 + d)
             z = rng.normal(size=(n, cfg.noise_dim))
-            args = (z, rng.uniform(size=(n, d)), rng.uniform(size=n), cfg)
+            args = (z, _joint(rng.uniform(size=(n, d)), rng.uniform(size=n)), cfg)
             grads, parts = generator_loss(model, *args)
             want, want_parts = graph_reference.generator_gradients(model, *args)
             assert len(grads) == len(model.generator_params())
@@ -381,8 +416,8 @@ def test_generator_step_graph_holds_only_the_generator(monkeypatch, share_trunk)
     cfg = _tiny(share_trunk=share_trunk)
     model = RganModel(2, cfg, SeededRng(8))
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(1))
-    rx, ry, _, _, _ = _batch(4, 2, seed=5)
-    generator_loss(model, z, rx, ry, cfg)
+    real, _, _ = _batch(4, 2, seed=5)
+    generator_loss(model, z, real, cfg)
     (root,) = roots
     reached, stack = {}, [root]
     while stack:
@@ -412,21 +447,55 @@ def test_training_builds_no_graph_outside_the_generator_step(monkeypatch):
     assert calls == [len(RganModel(2, cfg, SeededRng(0)).generator_params())] * 2
 
 
+def test_no_matmul_returns_negative_zero():
+    # the steps join matmul outputs with np.concatenate where the graph adds
+    # zero-padded pieces; that keeps every bit only while no matmul returns
+    # -0.0, which the padded add would turn to +0.0. Every product here is
+    # -0.0: column k of the left operand is all +0.0 or all -0.0, and row k
+    # of the right one has the opposite sign
+    rng = np.random.default_rng(0)
+    for n in (1, 3, 32, 50):
+        for inner in range(1, 34):
+            signs = np.where(rng.uniform(size=inner) < 0.5, -1.0, 1.0)
+            left = np.zeros((n, inner)) * signs
+            for outer in range(1, 34):
+                right = rng.uniform(0.5, 2.0, size=(inner, outer)) * -signs[:, None]
+                for a in (left, np.asfortranarray(left)):
+                    for b in (right, np.asfortranarray(right)):
+                        assert not np.signbit(a @ b).any()
+                        assert not np.signbit(b.T @ a.T).any()
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+@pytest.mark.parametrize("mode", ["shared", "unshared", "wgan-gp"])
+def test_training_equals_the_graph_reference_loop_bit_for_bit(mode, batch_size):
+    # the whole loop against one written out on split features and labels,
+    # with the recorded graph's gradients and a tensor-by-tensor Adam
+    cfg = MODES[mode](_tiny(batch_size=batch_size, iterations=3))
+    ds = _train_ds(n=12, seed=13)
+    model, trace = train(ds, cfg, seed=21)
+    want, want_pretrain, want_rows = graph_reference.train(ds, cfg, seed=21)
+    for name in ("generator", "critic_trunk", "critic_head", "regressor_trunk", "regressor_head"):
+        assert getattr(model, name).checksum() == getattr(want, name).checksum()
+    assert trace.pretrain_mse == want_pretrain
+    assert np.array(trace.numeric_rows()).tobytes() == np.array(want_rows).tobytes()
+
+
 # ----------------------------------------------------------- training steps
 
 def test_updates_touch_only_their_own_parameters():
     cfg = _tiny()
     model = RganModel(2, cfg, SeededRng(13))
-    rx, ry, fx, fy, mu = _batch(4, 2, seed=9)
+    real, fake, mu = _batch(4, 2, seed=9)
 
     gen_before = model.generator.checksum()
-    cgrads, _ = critic_regressor_loss(model, rx, ry, fx, fy, mu, cfg)
+    cgrads, _ = critic_regressor_loss(model, real, fake, mu, cfg)
     Adam(model.critic_step_params(), 1e-3).step(cgrads)
     assert model.generator.checksum() == gen_before
     trunk_after_critic = model.critic_trunk.checksum()
 
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(4))
-    ggrads, _ = generator_loss(model, z, rx, ry, cfg)
+    ggrads, _ = generator_loss(model, z, real, cfg)
     Adam(model.generator_params(), 1e-3).step(ggrads)
     assert model.generator.checksum() != gen_before
     assert model.critic_trunk.checksum() == trunk_after_critic
