@@ -14,7 +14,7 @@ from .optim import Adam  # noqa: F401
 from .data import (  # noqa: F401
     TabularDataset, NormalizationSpec, load_csv, save_csv,
     fit_normalizer, apply_normalizer, invert_normalizer, split, synth_make,
-    synth_names, concat,
+    concat,
 )
 from .regress import Metrics, fit, evaluate  # noqa: F401
 from .active import run_active_selection, kmeans, choose_k  # noqa: F401

@@ -74,10 +74,6 @@ class TabularDataset:
         return TabularDataset(self.features[idx], self.labels[idx],
                               self.columns, self.label_name, self.provenance)
 
-    def with_provenance(self, provenance: str) -> "TabularDataset":
-        return TabularDataset(self.features, self.labels, self.columns,
-                              self.label_name, provenance)
-
 
 # ------------------------------------------------------------------- loading
 
@@ -262,10 +258,6 @@ _CATALOG: dict[str, tuple[int, Callable[[np.ndarray], np.ndarray]]] = {
     "sinusoid-2d": (2, _sinusoid_truth),
     "piecewise-plant": (3, _piecewise_truth),
 }
-
-
-def synth_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
 
 
 def synth_truth(name: str) -> Callable[[np.ndarray], np.ndarray]:

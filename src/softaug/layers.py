@@ -116,14 +116,6 @@ class Mlp:
                   for w, b in self.layers]
         return Mlp(layers, out_activation=self.out_activation)
 
-    def checksum(self) -> bytes:
-        import hashlib
-        h = hashlib.blake2b(digest_size=16)
-        for w, b in self.layers:
-            h.update(np.ascontiguousarray(w.value).tobytes())
-            h.update(np.ascontiguousarray(b.value).tobytes())
-        return h.digest()
-
 
 def init_mlp(dims: Sequence[int], rng: SeededRng,
              out_activation: str = "leaky-relu") -> Mlp:

@@ -115,11 +115,10 @@ def _cholesky_solve(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class KernelRidgeRegressor:
-    """f(x) = sum_i c_i k(x, x_i) with (K + ridge*I) c = y."""
+    """f(x) = sum_i c_i k(x, x_i) with (K + ridge*I) c = y, at the median RBF width."""
 
-    def __init__(self, ridge: float = 1e-3, bandwidth: Bandwidth = "median"):
+    def __init__(self, ridge: float = 1e-3):
         self.ridge = ridge
-        self.bandwidth = bandwidth          # rbf width, or "median" heuristic
         self._x = None
         self._coef = None
         self.sigma = None
@@ -132,8 +131,7 @@ class KernelRidgeRegressor:
         if x.shape[0] == 0:
             raise ContractError("cannot fit on an empty dataset")
         d2 = squared_distances(x, x)
-        bw = check_bandwidth(self.bandwidth)
-        self.sigma = _median_width(d2) if bw is None else bw
+        self.sigma = _median_width(d2)
         gram = _rbf_in_place(d2, self.sigma)
         gram[np.diag_indices_from(gram)] += self.ridge
         try:

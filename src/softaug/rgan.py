@@ -184,9 +184,9 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
     G = gg[:, 0:d]
     for i in range(len(weights)):
         if i == first_head:
-            # a product, so possibly -0.0, which the graph's padded add turns to +0.0
-            G = (np.concatenate([np.zeros((n, width)), gg[:, d:d + 1]], axis=1)
-                 + np.concatenate([G, np.zeros((n, 1))], axis=1))
+            # the label piece is a product, so possibly -0.0 where the graph's padded add
+            # gives +0.0; G only enters matmuls, which sum either zero alike
+            G = np.concatenate([G, gg[:, d:d + 1]], axis=1)
         pieces.append((lefts[i].T @ G).T)
         if i + 1 < len(weights):
             G = G @ weights[i]
@@ -373,19 +373,16 @@ def train(train_ds: TabularDataset, config: GanConfig,
                 mu = rng.uniform(config.batch_size, 1)
                 grads, parts = critic_regressor_loss(model, rows[idx], fake, mu, config)
                 if not np.isfinite(parts["loss"]):
-                    raise DivergenceError(
-                        f"non-finite critic loss at iteration {it}", trace=trace)
+                    raise DivergenceError(f"non-finite critic loss at iteration {it}")
                 adam_c.step(grads)
             z = gaussian_noise(config.batch_size, config.noise_dim, rng)
             idx = rng.integers(0, len(rows), config.batch_size)
             ggrads, gparts = generator_loss(model, z, rows[idx], config)
             if not np.isfinite(gparts["loss"]):
-                raise DivergenceError(
-                    f"non-finite generator loss at iteration {it}", trace=trace)
+                raise DivergenceError(f"non-finite generator loss at iteration {it}")
             adam_g.step(ggrads)
         except DivergenceError as err:
-            if err.trace is None:
-                err.trace = trace
+            err.trace = trace
             raise
         trace.iteration.append(it)
         trace.critic_loss.append(parts["loss"])
@@ -404,9 +401,6 @@ def generate(model: RganModel, n: int, seed: int) -> TabularDataset:
     generate(model, 1000, s) bit-for-bit.
     """
     d = model.n_features
-    if n == 0:
-        return TabularDataset(np.zeros((0, d)), np.zeros(0), model.columns,
-                              model.label_name, "generated")
     z = gaussian_noise(n, model.config.noise_dim, SeededRng(seed))
     out = model.generator.forward_values(z)
     return TabularDataset(out[:, :d], out[:, d], model.columns,

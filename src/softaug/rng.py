@@ -56,7 +56,7 @@ class SeededRng:
 
 
 def gaussian_noise(n: int, dim: int, rng: SeededRng) -> np.ndarray:
-    """Standard-normal (n, dim) noise block from the given stream."""
-    if n < 1 or dim < 1:
-        raise ContractError(f"noise block needs n >= 1 and dim >= 1, got ({n}, {dim})")
+    """Standard-normal (n, dim) noise block from the given stream; n may be 0."""
+    if n < 0 or dim < 1:
+        raise ContractError(f"noise block needs n >= 0 and dim >= 1, got ({n}, {dim})")
     return rng.normal(n, dim)

@@ -1,5 +1,5 @@
 """Shared test helpers: finite differences, kink-safe toy models, checkpoints,
-the brute-force greedy acquisition oracle, traced peak memory."""
+network checksums, the brute-force greedy acquisition oracle, traced peak memory."""
 import hashlib
 import tracemalloc
 
@@ -74,6 +74,15 @@ def resign_checkpoint(data: bytes) -> bytes:
     """
     body = data[:-32]
     return body + hashlib.blake2b(body, digest_size=32).digest()
+
+
+def checksum(net) -> bytes:
+    """A digest of a network's weight and bias bytes, layer by layer."""
+    h = hashlib.blake2b(digest_size=16)
+    for w, b in net.layers:
+        h.update(np.ascontiguousarray(w.value).tobytes())
+        h.update(np.ascontiguousarray(b.value).tobytes())
+    return h.digest()
 
 
 def kink_safe_seed(check, start, limit=50):

@@ -9,6 +9,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,8 +238,8 @@ def test_criterion_05_cross_fit_hand_case_and_mode_collapse():
     wins = 0
     for seed in range(10):
         train_set = synth_make("sinusoid-2d", 40, 0.0, derive_seed(seed, "real"))
-        diverse = synth_make("sinusoid-2d", 40, 0.0,
-                             derive_seed(seed, "fresh")).with_provenance("generated")
+        diverse = replace(synth_make("sinusoid-2d", 40, 0.0, derive_seed(seed, "fresh")),
+                          provenance="generated")
         collapsed = TabularDataset(
             np.tile(train_set.features[:1], (40, 1)),
             np.full(40, float(train_set.labels[0])),

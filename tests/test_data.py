@@ -1,4 +1,6 @@
 """Datasets: loading, normalization, splitting, synthesis, concatenation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conftest import traced_peak
 
 from softaug import (NormalizationSpec, TabularDataset, concat,
                      apply_normalizer, fit_normalizer, invert_normalizer,
-                     load_csv, save_csv, split, synth_make, synth_names)
+                     load_csv, save_csv, split, synth_make)
 from softaug.data import synth_truth
 from softaug.errors import (BudgetError, CatalogError, ContractError, DataError,
                             ParseError, SchemaError, ShapeError)
@@ -298,9 +300,12 @@ def test_split_rejects_overdraw():
 # -------------------------------------------------------------- synthetics
 
 def test_synthetic_names_and_unknown():
-    assert set(synth_names()) == {"friedman-like", "sinusoid-2d", "piecewise-plant"}
-    with pytest.raises(CatalogError):
+    names = ["friedman-like", "piecewise-plant", "sinusoid-2d"]
+    for name in names:
+        assert synth_make(name, 4, 0.0, 0).n_rows == 4
+    with pytest.raises(CatalogError) as err:
         synth_make("no-such-thing", 10, 0.0, 0)
+    assert str(err.value).endswith(f"have {names}")
 
 
 @pytest.mark.parametrize("name", ["friedman-like", "sinusoid-2d", "piecewise-plant"])
@@ -353,13 +358,13 @@ def test_friedman_moments_match_quadrature():
 
 def test_concat_marks_mixed_and_keeps_rows():
     real = _toy(5, 2, seed=1)
-    gen_rows = _toy(3, 2, seed=2).with_provenance("generated")
+    gen_rows = replace(_toy(3, 2, seed=2), provenance="generated")
     both = concat(real, gen_rows)
     assert both.provenance == "mixed"
     assert both.n_rows == 8
     ab = sorted(map(tuple, both.joint()))
-    ba = sorted(map(tuple, concat(gen_rows.with_provenance("real"),
-                                  real.with_provenance("generated")).joint()))
+    ba = sorted(map(tuple, concat(replace(gen_rows, provenance="real"),
+                                  replace(real, provenance="generated")).joint()))
     assert ab == ba
 
 

@@ -1,6 +1,7 @@
 """Harness and CLI: config parsing, pipeline artifacts, sweeps, exit codes."""
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def _lean(**overrides):
 
 def test_empty_config_text_gives_defaults():
     assert parse_config("\n") == ExperimentConfig()
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == ExperimentConfig()
 
 
 def test_parse_covers_every_section():

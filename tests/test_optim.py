@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import graph_reference
+from conftest import checksum
 from softaug import (Adam, ContractError, DivergenceError, Mlp, SeededRng, ShapeError,
                      Tensor, init_mlp)
 from softaug.optim import fit_mse
@@ -122,7 +123,7 @@ def test_fit_mse_equals_the_graph_fit_bit_for_bit(rows, chain):
     fused, graph = nets(), nets()
     history = fit_mse(fused, x, y, 30, 1e-2)
     assert history == graph_reference.fit_mse(graph, x, y, 30, 1e-2)
-    assert [n.checksum() for n in fused] == [n.checksum() for n in graph]
+    assert [checksum(n) for n in fused] == [checksum(n) for n in graph]
 
 
 def test_fit_mse_rejects_targets_of_another_shape():

@@ -91,7 +91,9 @@ def test_mmd2_contract_errors():
         mmd2(np.zeros((0, 3)), a.joint())
     with pytest.raises(ContractError):
         mmd2(a, np.zeros((3, 5)))
-    for bad in (-1.0, 0.0, float("nan"), float("inf"), "nan", "wide", None):
+    # 2 * bw**2 underflows to 0 at 1e-300 and overflows at 1e155
+    for bad in (-1.0, -2.0, 0.0, float("nan"), float("inf"), "nan", "-inf", "wide", None,
+                1e-300, 1e155, "1e155"):
         with pytest.raises(ContractError, match="positive finite"):
             mmd2(a, a, bad)
     with pytest.raises(ContractError):

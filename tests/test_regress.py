@@ -119,18 +119,17 @@ def test_rbf_kernel_equals_the_new_array_expression_bit_for_bit():
 
 def test_kernel_ridge_predictions_equal_the_new_array_fit_bit_for_bit():
     for x, y, probe in _kernel_ridge_cases():
-        for bandwidth in ("median", 0.7):
-            model = KernelRidgeRegressor(bandwidth=bandwidth).fit(x, y)
-            d2 = squared_distances(x, x)
-            sigma = _copy_partition_median(d2) if bandwidth == "median" else bandwidth
-            gram = np.exp(-d2 / (2.0 * sigma * sigma))
-            gram[np.diag_indices_from(gram)] += 1e-3
-            coef = _cholesky_solve(np.linalg.cholesky(gram), y)
-            assert model.sigma == sigma, (x.shape, bandwidth)
-            # predicting the training rows passes `a is b` to the kernel
-            for rows in (x, probe):
-                assert np.array_equal(model.predict(rows),
-                                      _new_array_rbf(rows, x, sigma) @ coef), x.shape
+        model = KernelRidgeRegressor().fit(x, y)
+        d2 = squared_distances(x, x)
+        sigma = _copy_partition_median(d2)
+        gram = np.exp(-d2 / (2.0 * sigma * sigma))
+        gram[np.diag_indices_from(gram)] += 1e-3
+        coef = _cholesky_solve(np.linalg.cholesky(gram), y)
+        assert model.sigma == sigma, x.shape
+        # predicting the training rows passes `a is b` to the kernel
+        for rows in (x, probe):
+            assert np.array_equal(model.predict(rows),
+                                  _new_array_rbf(rows, x, sigma) @ coef), x.shape
 
 
 def test_kernel_ridge_fit_peak_stays_below_two_and_a_half_gram_matrices():
@@ -166,15 +165,16 @@ def test_cholesky_solve_matches_a_dense_solve():
 def test_small_ridge_interpolates_distinct_points():
     x = np.arange(5, dtype=float).reshape(-1, 1)
     y = np.array([0.2, 0.9, -0.4, 0.5, 1.3])
-    model = fit(KernelRidgeRegressor(ridge=1e-12, bandwidth=0.5), _dataset(x, y))
+    model = fit(KernelRidgeRegressor(ridge=1e-12), _dataset(x, y))
     assert np.max(np.abs(model.predict(x) - y)) < 1e-6
 
 
 def test_two_point_system_matches_direct_solve():
     x = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
-    model = KernelRidgeRegressor(ridge=0.1, bandwidth=1.0)
+    model = KernelRidgeRegressor(ridge=0.1)
     model.fit(x, y)
+    assert model.sigma == 1.0
     k01 = np.exp(-0.5)
     system = np.array([[1.1, k01], [k01, 1.1]])
     coef = np.linalg.solve(system, y)
@@ -190,14 +190,6 @@ def test_duplicate_rows_with_zero_ridge_raise_conditioning_error():
     model = KernelRidgeRegressor(ridge=0.0)
     with pytest.raises(ConditioningError, match="ridge > 0"):
         model.fit(x, y)
-
-
-def test_negative_bandwidth_rejected():
-    # 2 * bw**2 underflows to 0 at 1e-300 and overflows at 1e155
-    for bad in (-2.0, 0.0, float("nan"), float("inf"), "-inf", "wide", 1e-300, 1e155, "1e155"):
-        model = KernelRidgeRegressor(bandwidth=bad)
-        with pytest.raises(ContractError, match="positive"):
-            model.fit(np.zeros((3, 1)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------- mlp

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graph_reference
-from conftest import central_difference, max_relative_error, resign_checkpoint
+from conftest import central_difference, checksum, max_relative_error, resign_checkpoint
 
 from softaug import (GanConfig, RganModel, SeededRng, Tensor, generate,
                      load_checkpoint, save_checkpoint, train)
@@ -94,10 +94,10 @@ def test_model_initialization_is_mode_fair():
     shared = RganModel(2, _tiny(), SeededRng(7))
     unshared = RganModel(2, _tiny(share_trunk=False), SeededRng(7))
     for name in ("generator", "critic_trunk", "critic_head", "regressor_head"):
-        assert getattr(shared, name).checksum() == getattr(unshared, name).checksum()
+        assert checksum(getattr(shared, name)) == checksum(getattr(unshared, name))
     assert shared.regressor_trunk is shared.critic_trunk
     assert unshared.regressor_trunk is not unshared.critic_trunk
-    assert unshared.regressor_trunk.checksum() == unshared.critic_trunk.checksum()
+    assert checksum(unshared.regressor_trunk) == checksum(unshared.critic_trunk)
 
 
 def test_model_rejects_zero_features():
@@ -365,21 +365,43 @@ def _assert_bit_identical(grads, parts, want, want_parts):
         assert parts[key] == value or (np.isnan(value) and np.isnan(parts[key]))
 
 
+def _negative_zero_label_pieces(model, real, fake, mu):
+    """Rows whose penalty gradient at the label is -0.0.
+
+    Per row that piece is a positive factor times (|g| - 1) times g's label
+    entry, where g is the critic's input gradient at the interpolate.
+    """
+    d = model.n_features
+    jt = Tensor(mu * real + (1.0 - mu) * fake, requires_grad=True)
+    score = graph_reference.critic_score(model, ad.slice_cols(jt, 0, d),
+                                         ad.slice_cols(jt, d, d + 1))
+    g = ad.grad(ad.sum_all(score), [jt])[0].value
+    piece = (np.sqrt((g * g).sum(axis=1)) - 1.0) * g[:, d]
+    return int(np.sum((piece == 0.0) & np.signbit(piece)))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_critic_step_equals_the_graph_reference_bit_for_bit(mode):
     cfg = MODES[mode](GanConfig(trunk_width=32, critic_hidden=32, regressor_hidden=8))
     for n in (1, 3, 32):
         for d in (1, 2, 10):
-            model = RganModel(d, cfg, SeededRng(50 + n + d))
-            _distinct_trunks(model)
-            rng = np.random.default_rng(n * 100 + d)
-            fake = rng.uniform(size=(n, d + 1))      # the generator's joint rows
-            rx, ry, mu = rng.uniform(size=(n, d)), rng.uniform(size=n), rng.uniform(size=(n, 1))
-            args = (_joint(rx, ry), fake, mu, cfg)
-            grads, parts = critic_regressor_loss(model, *args)
-            want, want_parts = graph_reference.critic_gradients(model, *args)
-            assert len(grads) == len(model.critic_step_params())
-            _assert_bit_identical(grads, parts, want, want_parts)
+            for zero_label_row in (False, True):
+                model = RganModel(d, cfg, SeededRng(50 + n + d))
+                _distinct_trunks(model)
+                rng = np.random.default_rng(n * 100 + d)
+                fake = rng.uniform(size=(n, d + 1))      # the generator's joint rows
+                rx, ry = rng.uniform(size=(n, d)), rng.uniform(size=n)
+                args = (_joint(rx, ry), fake, rng.uniform(size=(n, 1)), cfg)
+                if zero_label_row:
+                    # the label's input gradient is then 0.0, so the penalty's label piece
+                    # is -0.0 in every row whose gradient norm is below 1
+                    model.critic_head.layers[0][0].value[-1, :] = 0.0
+                    if cfg.gp_weight != 0.0:
+                        assert _negative_zero_label_pieces(model, *args[:3]) > 0, (n, d)
+                grads, parts = critic_regressor_loss(model, *args)
+                want, want_parts = graph_reference.critic_gradients(model, *args)
+                assert len(grads) == len(model.critic_step_params())
+                _assert_bit_identical(grads, parts, want, want_parts)
 
 
 GENERATOR_MODES = {**MODES, "no-generator-regression": lambda c: replace(c, gen_reg_weight=0.0)}
@@ -476,7 +498,7 @@ def test_training_equals_the_graph_reference_loop_bit_for_bit(mode, batch_size):
     model, trace = train(ds, cfg, seed=21)
     want, want_pretrain, want_rows = graph_reference.train(ds, cfg, seed=21)
     for name in ("generator", "critic_trunk", "critic_head", "regressor_trunk", "regressor_head"):
-        assert getattr(model, name).checksum() == getattr(want, name).checksum()
+        assert checksum(getattr(model, name)) == checksum(getattr(want, name))
     assert trace.pretrain_mse == want_pretrain
     assert np.array(trace.numeric_rows()).tobytes() == np.array(want_rows).tobytes()
 
@@ -488,34 +510,34 @@ def test_updates_touch_only_their_own_parameters():
     model = RganModel(2, cfg, SeededRng(13))
     real, fake, mu = _batch(4, 2, seed=9)
 
-    gen_before = model.generator.checksum()
+    gen_before = checksum(model.generator)
     cgrads, _ = critic_regressor_loss(model, real, fake, mu, cfg)
     Adam(model.critic_step_params(), 1e-3).step(cgrads)
-    assert model.generator.checksum() == gen_before
-    trunk_after_critic = model.critic_trunk.checksum()
+    assert checksum(model.generator) == gen_before
+    trunk_after_critic = checksum(model.critic_trunk)
 
     z = gaussian_noise(4, cfg.noise_dim, SeededRng(4))
     ggrads, _ = generator_loss(model, z, real, cfg)
     Adam(model.generator_params(), 1e-3).step(ggrads)
-    assert model.generator.checksum() != gen_before
-    assert model.critic_trunk.checksum() == trunk_after_critic
+    assert checksum(model.generator) != gen_before
+    assert checksum(model.critic_trunk) == trunk_after_critic
 
 
 def test_pretraining_reaches_the_critic_only_when_trunk_is_shared():
     shared = RganModel(2, _tiny(pretrain_epochs=3), SeededRng(14))
-    before = shared.critic_trunk.checksum()
+    before = checksum(shared.critic_trunk)
     pretrain_regressor(shared, _train_ds(seed=1), shared.config)
-    assert shared.critic_trunk.checksum() != before
+    assert checksum(shared.critic_trunk) != before
 
     unshared = RganModel(2, _tiny(pretrain_epochs=3, share_trunk=False),
                          SeededRng(14))
-    trunk_before = unshared.critic_trunk.checksum()
-    head_before = unshared.critic_head.checksum()
-    reg_trunk_before = unshared.regressor_trunk.checksum()
+    trunk_before = checksum(unshared.critic_trunk)
+    head_before = checksum(unshared.critic_head)
+    reg_trunk_before = checksum(unshared.regressor_trunk)
     pretrain_regressor(unshared, _train_ds(seed=1), unshared.config)
-    assert unshared.critic_trunk.checksum() == trunk_before
-    assert unshared.critic_head.checksum() == head_before
-    assert unshared.regressor_trunk.checksum() != reg_trunk_before
+    assert checksum(unshared.critic_trunk) == trunk_before
+    assert checksum(unshared.critic_head) == head_before
+    assert checksum(unshared.regressor_trunk) != reg_trunk_before
 
 
 def test_pretrain_history_tracks_mse():
@@ -533,14 +555,14 @@ def test_unshared_regressor_is_frozen_after_pretraining():
     cfg = _tiny(share_trunk=False, iterations=3)
     trained, _ = train(ds, cfg, seed=31)
     frozen, _ = train(ds, replace(cfg, iterations=0), seed=31)
-    assert trained.regressor_trunk.checksum() == frozen.regressor_trunk.checksum()
-    assert trained.regressor_head.checksum() == frozen.regressor_head.checksum()
-    assert trained.critic_trunk.checksum() != frozen.critic_trunk.checksum()
+    assert checksum(trained.regressor_trunk) == checksum(frozen.regressor_trunk)
+    assert checksum(trained.regressor_head) == checksum(frozen.regressor_head)
+    assert checksum(trained.critic_trunk) != checksum(frozen.critic_trunk)
 
     shared_cfg = _tiny(iterations=3)
     moved, _ = train(ds, shared_cfg, seed=31)
     still, _ = train(ds, replace(shared_cfg, iterations=0), seed=31)
-    assert moved.regressor_head.checksum() != still.regressor_head.checksum()
+    assert checksum(moved.regressor_head) != checksum(still.regressor_head)
 
 
 def test_training_is_deterministic():
@@ -550,7 +572,7 @@ def test_training_is_deterministic():
     assert trace_a.numeric_rows() == trace_b.numeric_rows()
     assert trace_a.pretrain_mse == trace_b.pretrain_mse
     for name in ("generator", "critic_trunk", "critic_head", "regressor_head"):
-        assert getattr(model_a, name).checksum() == getattr(model_b, name).checksum()
+        assert checksum(getattr(model_a, name)) == checksum(getattr(model_b, name))
 
 
 def test_trace_shape_and_mode_marking():
@@ -662,13 +684,16 @@ def test_generated_rows_are_sigmoid_bounded_and_tagged():
 
 
 def test_generate_is_a_prefix_stable_stream():
-    model = RganModel(2, _tiny(), SeededRng(16))
+    model = RganModel(2, _tiny(), SeededRng(16), columns=("p", "q"), label_name="t")
     small = generate(model, 5, seed=11)
     large = generate(model, 40, seed=11)
     assert np.array_equal(small.features, large.features[:5])
     assert np.array_equal(small.labels, large.labels[:5])
     empty = generate(model, 0, seed=11)
     assert empty.n_rows == 0 and empty.provenance == "generated"
+    assert (empty.columns, empty.label_name) == (("p", "q"), "t")
+    assert empty.features.shape == (0, 2) and empty.labels.shape == (0,)
+    assert empty.features.dtype == empty.labels.dtype == np.float64
 
 
 # --------------------------------------------------------------- checkpoints
@@ -696,8 +721,8 @@ def test_checkpoint_roundtrip_keeps_unshared_trunks_independent(tmp_path):
     loaded, extra = load_checkpoint(path)
     assert extra == {}
     assert loaded.regressor_trunk is not loaded.critic_trunk
-    assert loaded.regressor_trunk.checksum() == model.regressor_trunk.checksum()
-    assert loaded.critic_trunk.checksum() == model.critic_trunk.checksum()
+    assert checksum(loaded.regressor_trunk) == checksum(model.regressor_trunk)
+    assert checksum(loaded.critic_trunk) == checksum(model.critic_trunk)
     preds_a = _regressor_predictions(model, ds.features)
     preds_b = _regressor_predictions(loaded, ds.features)
     assert np.array_equal(preds_a, preds_b)

@@ -48,10 +48,10 @@ def test_gaussian_noise_determinism_and_difference():
 
 
 def test_gaussian_noise_rejects_bad_counts():
-    with pytest.raises(ContractError):
-        gaussian_noise(0, 3, SeededRng(0))
-    with pytest.raises(ContractError):
-        gaussian_noise(3, 0, SeededRng(0))
+    assert gaussian_noise(0, 3, SeededRng(0)).shape == (0, 3)
+    for n, dim in ((-1, 3), (3, 0)):
+        with pytest.raises(ContractError, match="n >= 0 and dim >= 1"):
+            gaussian_noise(n, dim, SeededRng(0))
 
 
 def test_permutation_is_a_permutation():
