@@ -10,7 +10,7 @@ everywhere.
 
 Training differentiates a graph only for the generator network itself.
 The rest of both GAN steps, pretraining and the downstream MLP repeat
-these rules by hand in plain numpy (`layers.Mlp.backward`, `rgan`).
+these rules by hand in plain numpy (`layers._backward`, `optim.fit_mse`, `rgan`).
 """
 from __future__ import annotations
 

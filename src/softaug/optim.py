@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError, ShapeError
-from .layers import Mlp, sum_rows
+from .layers import SLOPE, Mlp, _leaky, sum_rows
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -84,27 +84,52 @@ def fit_mse(nets: Sequence[Mlp], x: np.ndarray, y: np.ndarray, epochs: int,
     The chain feeds each net's output to the next. One update per epoch,
     over every net's parameters; returns the MSE before each update. The
     forward and backward repeat the recorded graph's operations, so the
-    fit is bit-identical to differentiating it.
+    fit is bit-identical to differentiating it. Every row-sized array is a
+    buffer allocated once per fit and refilled each epoch.
     """
     opt = Adam([p for net in nets for p in net.params()], learning_rate)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    layers = [(w, b, leaky) for net in nets for (w, b), leaky in zip(net.layers, _leaky(net))]
+    outs, masks, grads_at = [], [], []       # per layer: output, leaky mask, gradient at output
+    width = x.shape[1]
+    for i, (w, _, leaky) in enumerate(layers):
+        if width != w.shape[0]:
+            raise ShapeError(f"layer {i}: input has {width} columns, weight expects {w.shape[0]}")
+        width = w.shape[1]
+        outs.append(np.empty((len(x), width)))
+        masks.append(np.empty((len(x), width)) if leaky else None)
+        grads_at.append(np.empty((len(x), width)))
+    if outs[-1].shape != y.shape:
+        raise ShapeError(f"fit_mse: predictions {outs[-1].shape} and targets {y.shape} differ")
+    inputs = [x] + outs[:-1]
+    r, squares = np.empty(y.shape), np.empty(y.shape)
     scale = 1.0 / y.size
     seed = np.ones((1, 1)) * scale          # d loss / d sum, as the graph's seed
     history = []
     for _ in range(epochs):
-        tapes = [[] for _ in nets]
-        h = x
-        for net, tape in zip(nets, tapes):
-            h = net.forward_values(h, tape)
-        if h.shape != y.shape:
-            raise ShapeError(f"fit_mse: predictions {h.shape} and targets {y.shape} differ")
-        r = h - y
-        history.append(float((sum_rows(r * r) * scale)[0, 0]))
-        g = np.broadcast_to(seed, r.shape) * (r * 2.0)
+        for (w, b, _), h, z, mask in zip(layers, inputs, outs, masks):
+            np.matmul(h, w.value, out=z)
+            z += b.value
+            if mask is not None:
+                # exactly 1.0 above zero and SLOPE elsewhere, as np.where gives
+                np.greater(z, 0.0, out=mask)
+                mask *= 1.0 - SLOPE
+                mask += SLOPE
+                z *= mask
+        np.subtract(outs[-1], y, out=r)
+        np.multiply(r, r, out=squares)
+        history.append(float((sum_rows(squares) * scale)[0, 0]))
+        g = grads_at[-1]
+        np.multiply(r, 2.0, out=g)
+        g *= seed
         grads = []
-        for i in reversed(range(len(nets))):
-            net_grads, g = nets[i].backward(tapes[i], g, need_input=i > 0)
-            grads[:0] = net_grads
+        for i in reversed(range(len(layers))):
+            g = grads_at[i]
+            if masks[i] is not None:
+                g *= masks[i]
+            grads[:0] = [inputs[i].T @ g, sum_rows(g)]
+            if i > 0:
+                np.matmul(g, layers[i][0].value.T, out=grads_at[i - 1])
         opt.step(grads)
     return history

@@ -8,9 +8,13 @@ regression residuals shape the features the critic sees. With sharing
 off the regressor keeps an independent copy of the trunk and is frozen
 after pretraining.
 
-Both steps take batches of N joint (d + 1)-column rows, and one taped critic
-pass scores real, fake and interpolated rows. Losses, each differentiated by
-hand but for the generator:
+Both steps take batches of N joint (d + 1)-column rows. The critic step
+lays its fake, real and interpolated batches into one (3, N, d + 1) stack
+and tapes one critic pass over it; the generator step stacks its fake and
+real batches for the regressor. Each matmul of a pass still forms one
+batch's product, so it rounds exactly as a pass over that batch alone,
+and every other operation runs once over the stack. Losses, each
+differentiated by hand but for the generator:
 * critic/regressor: -mean D(real) + mean D(fake)
     + (gp_weight/N) * sum (||grad D at interpolates|| - 1)^2
     + critic_reg_weight * mean-residual term
@@ -24,6 +28,7 @@ penalty.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -36,7 +41,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TabularDataset
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError, SoftaugError
-from .layers import init_mlp, sum_rows
+from .layers import _backward, _weight_grads, init_mlp, sum_rows
 from .optim import Adam, fit_mse
 from .rng import SeededRng, gaussian_noise
 
@@ -141,45 +146,32 @@ def _batch_rows(model: RganModel, **arrays) -> int:
     return len(a)
 
 
-def _score(model: RganModel, rows: np.ndarray):
-    """The critic's scores of joint rows, the trunk features and both layer tapes."""
-    trunk_tape, head_tape, d = [], [], model.n_features
-    h = model.critic_trunk.forward_values(rows[:, 0:d], trunk_tape)
-    score = model.critic_head.forward_values(np.concatenate([h, rows[:, d:]], axis=1), head_tape)
-    return score, h, trunk_tape, head_tape
+@functools.lru_cache(maxsize=16)
+def _seeds(n: int) -> np.ndarray:
+    """The read-only (3, n, 1) stack of the gradients at the scores of an n-row batch,
+    each a stride-0 column as the recorded graph seeds it: 1/n (the fake mean),
+    -1/n (the real mean; the generator's fake mean) and 1 (the penalty's score sum)."""
+    return np.broadcast_to(np.array([1.0 / n, -1.0 / n, 1.0]).reshape(3, 1, 1), (3, n, 1))
 
 
-def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
+def _penalty(model: RganModel, inputs: list, masks: list, g: np.ndarray, seed: np.ndarray):
     """Sum over rows of (|d score / d interp| - 1)^2, and its weight gradients.
 
-    `seed` is the (1, 1) gradient at the sum. The input gradient is a
-    chain of matmuls with the transposed weights and the leaky masks,
-    which are constants, so the gradient reaches only the critic's weight
-    matrices: one `(left.T @ G).T` per layer, trunk layers first, where
-    `left` is the matrix that layer's input-gradient matmul took.
+    `g` is the critic's input gradient at the interpolates, `inputs` the
+    matrix each layer's input-gradient matmul took (trunk layers first) and
+    `masks` their leaky masks, on the interpolates' rows. `seed` is the
+    (1, 1) gradient at the sum. The masks are constants, so the gradient
+    reaches only the critic's weight matrices: one `(inputs[i].T @ G).T` per layer.
     """
-    n, d = interp.shape[0], model.n_features
-    _, h, trunk_tape, head_tape = _score(model, interp)
+    d = model.n_features
     weights = [w.value for w, _ in model.critic_trunk.layers + model.critic_head.layers]
-    masks = [mask for _, mask in trunk_tape + head_tape]
-    first_head, width = len(trunk_tape), h.shape[1]
-
-    lefts = [None] * len(weights)
-    g = np.broadcast_to(np.ones((1, 1)), (n, 1))
-    for i in reversed(range(len(weights))):
-        if masks[i] is not None:
-            g = g * masks[i]
-        lefts[i] = g
-        g = g @ weights[i].T
-        if i == first_head:
-            g_y, g = g[:, width:width + 1], g[:, 0:width]
-    g = np.concatenate([g, g_y], axis=1)
+    first_head = len(model.critic_trunk.layers)
     sq_norm = (g * g).sum(axis=1, keepdims=True) + 1e-24
     excess = sq_norm ** 0.5 + -1.0
     total = sum_rows(excess * excess)
 
-    gg = np.broadcast_to(seed, (n, 1)) * (excess * 2.0)
-    gg = np.broadcast_to((gg * (sq_norm ** -0.5)) * 0.5, (n, d + 1)) * (g * 2.0)
+    gg = seed * (excess * 2.0)
+    gg = ((gg * (sq_norm ** -0.5)) * 0.5) * (g * 2.0)
     pieces = []
     G = gg[:, 0:d]
     for i in range(len(weights)):
@@ -187,7 +179,7 @@ def _penalty(model: RganModel, interp: np.ndarray, seed: np.ndarray):
             # the label piece is a product, so possibly -0.0 where the graph's padded add
             # gives +0.0; G only enters matmuls, which sum either zero alike
             G = np.concatenate([G, gg[:, d:d + 1]], axis=1)
-        pieces.append((lefts[i].T @ G).T)
+        pieces.append((inputs[i].T @ G).T)
         if i + 1 < len(weights):
             G = G @ weights[i]
             if masks[i] is not None:
@@ -202,68 +194,69 @@ def critic_regressor_loss(model: RganModel, real: np.ndarray, fake: np.ndarray,
     `mu` weighs the real rows in the interpolates. The gradients follow
     `critic_step_params()`. They are derived by hand and repeat the backward
     pass of the recorded objective operation by operation (tests/ keep that
-    graph as the oracle), so they are bit-identical to it. Each parameter
-    sums its pieces left to right in the order fake score, real score,
-    penalty, regression on fake rows, regression on real rows.
+    graph as the oracle), so they are bit-identical to it. The fake, real and
+    interpolated rows form one (3, n, d + 1) stack: each matmul forms one
+    batch's product, every other operation runs once over the stack. Each
+    parameter sums its pieces left to right in the order fake score, real
+    score, penalty, regression on fake rows, regression on real rows.
     """
     n, d = _batch_rows(model, real=real, fake=fake, mu=mu), model.n_features
     trunk, head = model.critic_trunk, model.critic_head
-    params = model.critic_step_params()
-    grads = [None] * len(params)
-
-    def add(start, pieces, stride=1):
-        for i, piece in zip(range(start, len(params), stride), pieces):
-            grads[i] = piece if grads[i] is None else grads[i] + piece
-
-    seed = np.ones((1, 1))
-    n_trunk = len(trunk.params())
-    taped, means = [], []
-    for rows, sign in ((fake, seed), (real, seed * -1.0)):
-        score, h, trunk_tape, head_tape = _score(model, rows)
-        means.append(sum_rows(score) * (1.0 / n))
-        taped.append((rows, h, trunk_tape))
-        head_grads, g = head.backward(head_tape, np.broadcast_to(sign * (1.0 / n), (n, 1)),
-                                      need_input=True)
-        add(0, trunk.backward(trunk_tape, g[:, 0:h.shape[1]])[0])
-        add(n_trunk, head_grads)
-    mean_fake, mean_real = means
+    penalized = config.gp_weight != 0.0
+    rows = np.empty((3 if penalized else 2, n, d + 1))
+    rows[0], rows[1] = fake, real
+    if penalized:
+        np.multiply(mu, real, out=rows[2])
+        rows[2] += (1.0 - mu) * fake
+    trunk_tape, head_tape = [], []
+    h = trunk.forward_values(rows[..., 0:d], trunk_tape)
+    score = head.forward_values(np.concatenate([h, rows[..., d:]], axis=2), head_tape)
+    mean_fake, mean_real = sum_rows(score[:2]) * (1.0 / n)
     loss = mean_fake - mean_real
     parts = {"wasserstein": float(mean_real[0, 0]) - float(mean_fake[0, 0])}
 
-    if config.gp_weight != 0.0:
-        pen, pieces = _penalty(model, mu * real + (1.0 - mu) * fake,
-                               seed * (config.gp_weight / n))
+    head_gs, g = _backward(head, head_tape, _seeds(n)[:len(rows)])
+    width = h.shape[2]
+    trunk_gs = _backward(trunk, trunk_tape, g[..., 0:width], need_input=False)[0]
+    grads = [a[0] + a[1] for a in _weight_grads(trunk_tape, [a[:2] for a in trunk_gs])
+             + _weight_grads(head_tape, [a[:2] for a in head_gs])]
+
+    if penalized:
+        taped, at_outputs = trunk_tape + head_tape, trunk_gs + head_gs
+        g_x = trunk_gs[0][2] @ trunk.layers[0][0].value.T
+        pen, pieces = _penalty(model, [a[2] for a in at_outputs],
+                               [None if m is None else m[2] for _, m in taped],
+                               np.concatenate([g_x, g[2, :, width:width + 1]], axis=1),
+                               np.ones((1, 1)) * (config.gp_weight / n))
         loss = loss + pen * (config.gp_weight / n)
         parts["penalty"] = float(pen[0, 0]) / n
-        add(0, pieces, stride=2)
+        for i, piece in zip(range(0, len(grads), 2), pieces):
+            grads[i] = grads[i] + piece
     else:
         parts["penalty"] = 0.0
 
     if config.critic_reg_weight != 0.0:
         shared = model.config.share_trunk
-        residuals = []
-        for rows, h, trunk_tape in taped:
-            if not shared:
-                h, trunk_tape = model.regressor_trunk.forward_values(rows[:, 0:d]), None
-            head_tape = []
-            residuals.append((model.regressor_head.forward_values(h, head_tape)
-                              - rows[:, d:d + 1], head_tape, trunk_tape))
-        (r_fake, *_), (r_real, *_) = residuals
-        reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
+        features = h[:2] if shared else model.regressor_trunk.forward_values(rows[:2, :, 0:d])
+        reg_tape = []
+        r = model.regressor_head.forward_values(features, reg_tape) - rows[:2, :, d:d + 1]
+        r_fake, r_real = sum_rows(r * r)
+        reg = (r_fake + r_real) * (1.0 / n)
         loss = loss + reg * config.critic_reg_weight
         parts["regression"] = float(reg[0, 0])
         if shared:
-            g_sum = (seed * config.critic_reg_weight) * (1.0 / n)
-            for r, head_tape, trunk_tape in residuals:
-                head_grads, g = model.regressor_head.backward(
-                    head_tape, np.broadcast_to(g_sum, (n, 1)) * (r * 2.0), need_input=True)
-                add(0, trunk.backward(trunk_tape, g)[0])
-                add(n_trunk + len(head.params()), head_grads)
+            g = ((np.ones((1, 1)) * config.critic_reg_weight) * (1.0 / n)) * (r * 2.0)
+            reg_gs, g = _backward(model.regressor_head, reg_tape, g)
+            trunk_gs = _backward(trunk, trunk_tape, g, need_input=False)[0]
+            for i, (fake_piece, real_piece) in enumerate(_weight_grads(trunk_tape, trunk_gs)):
+                grads[i] = (grads[i] + fake_piece) + real_piece
+            grads += [a[0] + a[1] for a in _weight_grads(reg_tape, reg_gs)]
     else:
         parts["regression"] = float("nan")
 
     parts["loss"] = float(loss[0, 0])
-    return [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)], parts
+    params = model.critic_step_params()
+    return grads + [np.zeros(p.shape) for p in params[len(grads):]], parts
 
 
 def generator_loss(model: RganModel, noise: np.ndarray, real: np.ndarray,
@@ -272,33 +265,39 @@ def generator_loss(model: RganModel, noise: np.ndarray, real: np.ndarray,
 
     Only the generator is recorded; the rest of the backward repeats the recorded
     objective's by hand (tests/ keep it as the oracle), so it is bit-identical.
+    With the regression term on, the fake and real rows pass the regressor,
+    and a shared trunk, as one (2, n, d + 1) stack.
     """
-    n, d, seed = _batch_rows(model, noise=noise, real=real), model.n_features, np.ones((1, 1))
+    n, d = _batch_rows(model, noise=noise, real=real), model.n_features
+    trunk, head = model.critic_trunk, model.critic_head
     out = model.generator.forward(Tensor(noise))
     fake = out.value
-    score, h, trunk_tape, head_tape = _score(model, fake)
+    regress = config.gen_reg_weight != 0.0
+    rows = np.stack([fake, real]) if regress else fake[None]
+    trunk_tape, head_tape = [], []
+    h = trunk.forward_values((rows if model.config.share_trunk else rows[:1])[..., 0:d],
+                             trunk_tape)
+    score = head.forward_values(np.concatenate([h[0], fake[:, d:]], axis=1), head_tape)
     loss = (sum_rows(score) * (1.0 / n)) * -1.0
     parts = {"adversarial": float(loss[0, 0]), "regression": float("nan")}
-    g = model.critic_head.backward(head_tape, np.broadcast_to((seed * -1.0) * (1.0 / n), (n, 1)),
-                                   need_input=True)[1]
-    g_x = model.critic_trunk.backward(trunk_tape, g[:, :-1], need_input=True)[1]
+    g = _backward(head, head_tape, _seeds(n)[1])[1]
+    g_x = _backward(trunk, trunk_tape, g[None, :, :-1])[1][0]
     g_y = g[:, -1:]
 
-    if config.gen_reg_weight != 0.0:
+    if regress:
         if not model.config.share_trunk:
-            trunk_tape = []
-            h = model.regressor_trunk.forward_values(fake[:, 0:d], trunk_tape)
-        head_tape = []
-        r_fake = model.regressor_head.forward_values(h, head_tape) - fake[:, d:d + 1]
-        r_real = (model.regressor_head.forward_values(
-            model.regressor_trunk.forward_values(real[:, 0:d])) - real[:, d:d + 1])
-        reg = (sum_rows(r_fake * r_fake) + sum_rows(r_real * r_real)) * (1.0 / n)
+            trunk, trunk_tape = model.regressor_trunk, []
+            h = trunk.forward_values(rows[..., 0:d], trunk_tape)
+        reg_tape = []
+        r = model.regressor_head.forward_values(h, reg_tape) - rows[..., d:d + 1]
+        r_fake, r_real = sum_rows(r * r)
+        reg = (r_fake + r_real) * (1.0 / n)
         loss = loss + reg * config.gen_reg_weight
         parts["regression"] = float(reg[0, 0])
-        g_r = np.broadcast_to((seed * config.gen_reg_weight) * (1.0 / n), (n, 1)) * (r_fake * 2.0)
-        g = model.regressor_head.backward(head_tape, g_r, need_input=True)[1]
-        g_x = g_x + model.regressor_trunk.backward(trunk_tape, g, need_input=True)[1]
-        g_y = g_y + g_r * -1.0
+        g_r = ((np.ones((1, 1)) * config.gen_reg_weight) * (1.0 / n)) * (r[:1] * 2.0)
+        g = _backward(model.regressor_head, reg_tape, g_r)[1]
+        g_x = g_x + _backward(trunk, trunk_tape, g)[1][0]
+        g_y = g_y + g_r[0] * -1.0
 
     parts["loss"] = float(loss[0, 0])
     # the graph's seed is 1.0 * g_out, the sum of the slices' zero-padded pieces; both

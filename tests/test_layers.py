@@ -5,7 +5,7 @@ import pytest
 from conftest import checksum
 from softaug import ContractError, SeededRng, ShapeError, Tensor, init_mlp
 from softaug import autodiff as ad
-from softaug.layers import SLOPE, Mlp, sum_rows
+from softaug.layers import SLOPE, Mlp, _backward, _weight_grads, sum_rows
 
 
 def _manual_forward(net, x):
@@ -61,23 +61,37 @@ def test_grad_wrt_params_shapes_match():
 
 @pytest.mark.parametrize("rows", [1, 5])
 def test_backward_equals_the_graph_gradients(rows):
+    # one batch, and a stack of three: each batch's output, weight and input
+    # gradients equal those of its own recorded pass bit for bit
     net = init_mlp([3, 6, 4, 1], SeededRng(12), out_activation="linear")
-    x = Tensor(SeededRng(13).normal(rows, 3), requires_grad=True)
-    out = net.forward(x)
-    want = ad.grad(ad.sum_all(ad.square(out)), net.params() + [x])
+    x = SeededRng(13).normal(3 * rows, 3)
+    for stack, batches in ((x[:rows], [slice(None)]), (x.reshape(3, rows, 3), [0, 1, 2])):
+        tape = []
+        y = net.forward_values(stack, tape)
+        assert len(tape) == 3
+        at_outputs, g_in = _backward(net, tape, y * 2.0)
+        grads = _weight_grads(tape, at_outputs)
+        for j in batches:
+            xt = Tensor(stack[j], requires_grad=True)
+            out = net.forward(xt)
+            want = ad.grad(ad.sum_all(ad.square(out)), net.params() + [xt])
+            assert np.array_equal(y[j], out.value)
+            for got, ref in zip([g[j] for g in grads] + [g_in[j]], want):
+                assert np.array_equal(got, ref.value)
+        assert _backward(net, tape, y * 2.0, need_input=False)[1] is None
+    # a gradient for the first batches of a stack only
     tape = []
-    y = net.forward_values(x.value, tape)
-    assert np.array_equal(y, out.value) and len(tape) == 3
-    grads, g_in = net.backward(tape, y * 2.0, need_input=True)
-    for got, ref in zip(grads + [g_in], want):
-        assert np.array_equal(got, ref.value)
-    assert net.backward(tape, y * 2.0)[1] is None
+    y = net.forward_values(x.reshape(3, rows, 3), tape)
+    at_outputs, g_in = _backward(net, tape, y[:2] * 2.0)
+    assert np.array_equal(g_in, _backward(net, tape, y * 2.0)[1][:2])
 
 
 def test_sum_rows_passes_a_single_row_through():
     # as the graph's sum_to: summing one row would turn -0.0 into +0.0
     row = np.array([[-0.0, 1.5]])
     assert np.array_equal(np.signbit(sum_rows(row)), [[True, False]])
+    assert np.array_equal(np.signbit(sum_rows(np.stack([row, -row]))), [[[True, False]],
+                                                                         [[False, True]]])
     assert np.array_equal(sum_rows(np.array([[1.0, 2.0], [3.0, -4.0]])), [[4.0, -2.0]])
 
 

@@ -132,6 +132,18 @@ def test_fit_mse_rejects_targets_of_another_shape():
         fit_mse([net], np.zeros((4, 2)), np.zeros(4), 1, 1e-3)
 
 
+def test_fit_mse_rejects_inputs_of_another_width_and_a_sigmoid_net():
+    net = init_mlp([2, 1], SeededRng(1), out_activation="linear")
+    with pytest.raises(ShapeError, match="layer 0: input has 3 columns, weight expects 2"):
+        fit_mse([net], np.zeros((4, 3)), np.zeros((4, 1)), 1, 1e-3)
+    chain = [init_mlp([2, 5], SeededRng(1)), init_mlp([4, 1], SeededRng(2))]
+    with pytest.raises(ShapeError, match="layer 1: input has 5 columns, weight expects 4"):
+        fit_mse(chain, np.zeros((4, 2)), np.zeros((4, 1)), 1, 1e-3)
+    sigmoid = init_mlp([2, 1], SeededRng(1), out_activation="sigmoid")
+    with pytest.raises(ContractError, match="leaky-relu and linear"):
+        fit_mse([sigmoid], np.zeros((4, 2)), np.zeros((4, 1)), 1, 1e-3)
+
+
 # ------------------------------------------------------------ flat parameters
 
 def test_parameter_values_are_views_the_step_updates_in_place():

@@ -13,7 +13,7 @@ from softaug import (GanConfig, RganModel, SeededRng, Tensor, generate,
 from softaug import autodiff as ad
 from softaug.data import TabularDataset
 from softaug.errors import ConfigError, ContractError, DivergenceError, ShapeError
-from softaug.layers import SLOPE
+from softaug.layers import SLOPE, sum_rows
 from softaug.optim import Adam
 from softaug.rgan import critic_regressor_loss, generator_loss, pretrain_regressor
 from softaug.rng import gaussian_noise
@@ -383,7 +383,7 @@ def _negative_zero_label_pieces(model, real, fake, mu):
 @pytest.mark.parametrize("mode", MODES)
 def test_critic_step_equals_the_graph_reference_bit_for_bit(mode):
     cfg = MODES[mode](GanConfig(trunk_width=32, critic_hidden=32, regressor_hidden=8))
-    for n in (1, 3, 32):
+    for n in (1, 3, 7, 32, 50):
         for d in (1, 2, 10):
             for zero_label_row in (False, True):
                 model = RganModel(d, cfg, SeededRng(50 + n + d))
@@ -411,7 +411,7 @@ GENERATOR_MODES = {**MODES, "no-generator-regression": lambda c: replace(c, gen_
 def test_generator_step_equals_the_graph_reference_bit_for_bit(mode):
     cfg = GENERATOR_MODES[mode](GanConfig(trunk_width=32, critic_hidden=32,
                                           regressor_hidden=8))
-    for n in (1, 3, 32):
+    for n in (1, 3, 7, 32, 50):
         for d in (1, 2, 10):
             model = RganModel(d, cfg, SeededRng(50 + n + d))
             _distinct_trunks(model)
@@ -488,7 +488,40 @@ def test_no_matmul_returns_negative_zero():
                         assert not np.signbit(b.T @ a.T).any()
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 32])
+def test_stacked_matmuls_and_sums_equal_each_batch_alone():
+    # the steps stack their batches: one matmul over a (batches, n, k) stack
+    # forms each batch's product as its own call would, and a row block
+    # written with out= equals the fresh product. That holds only while the
+    # BLAS rounds a product the same wherever its operands and result sit:
+    # in a larger buffer, in a row-strided column slice (the trunk reads x
+    # from joint rows), transposed (weight gradients), or stride-0 (seeds)
+    rng = np.random.default_rng(1)
+    for n in (1, 3, 7, 32, 50):
+        for inner in range(1, 34):
+            joint = rng.normal(size=(3, n, inner + 1))
+            for a in (joint[..., :inner], np.ascontiguousarray(joint[..., :inner])):
+                g = rng.normal(size=(3, n, 17))
+                transposed = a.swapaxes(1, 2) @ g
+                assert sum_rows(g).tobytes() == np.stack([sum_rows(g[j]) for j in range(3)]).tobytes()
+                for j in range(3):
+                    assert transposed[j].tobytes() == (a[j].T @ g[j]).tobytes()
+                for outer in range(1, 34):
+                    b = rng.normal(size=(inner, outer))
+                    stacked, block = a @ b, np.empty((3 * n, outer))
+                    for j in range(3):
+                        np.matmul(a[j], b, out=block[j * n:(j + 1) * n])
+                        assert stacked[j].tobytes() == (a[j] @ b).tobytes()
+                    assert block.tobytes() == stacked.tobytes()
+        seeds = np.broadcast_to(np.array([0.5, -0.25, 1.0]).reshape(3, 1, 1), (3, n, 1))
+        w, h = rng.normal(size=(32, 1)), rng.normal(size=(3, n, 32))
+        for j, c in enumerate((0.5, -0.25, 1.0)):
+            seed = np.broadcast_to(np.full((1, 1), c), (n, 1))
+            assert (seeds @ w.T)[j].tobytes() == (seed @ w.T).tobytes()
+            assert (h.swapaxes(1, 2) @ seeds)[j].tobytes() == (h[j].T @ seed).tobytes()
+            assert sum_rows(seeds)[j].tobytes() == sum_rows(seed).tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 50])
 @pytest.mark.parametrize("mode", ["shared", "unshared", "wgan-gp"])
 def test_training_equals_the_graph_reference_loop_bit_for_bit(mode, batch_size):
     # the whole loop against one written out on split features and labels,
